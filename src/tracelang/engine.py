@@ -36,61 +36,112 @@ from . import terms as T
 class Trace:
     """Nonempty string of structures; the first letter is the input.
 
+    A trace is a persistent parent-pointer chain.  Each node holds its parent
+    (``None`` at the input letter), its ``last`` letter, the module ``choice``
+    that produced that letter, its ``length``, the ``input`` letter, the
+    history ``hist`` and a hash computed once.  Extending shares the whole
+    prefix, so ``extend`` costs O(R) for R registers however long the trace
+    is, and siblings extended from one node share it too.  ``letters``,
+    ``choices`` and ``key()`` are read-only views built on demand by walking
+    the chain, in O(length).
+
     Letters share the input's domain and EDB tables and differ only in their
-    register valuations.  ``choices`` records the module choice that produced
-    each non-input letter.  ``hist`` caches, per register, the set of values
-    it held at all letters except the last; it makes history tests O(1).
+    register valuations.  ``hist`` holds, per register, the values it held at
+    all letters except the last, as an immutable ``int`` bitmask: bit 0 for
+    blank, bit i+1 for domain element i.  It makes history tests one bit test.
     """
 
-    __slots__ = ("letters", "choices", "hist")
+    __slots__ = ("parent", "last", "choice", "length", "input", "hist", "_hash")
 
     def __init__(
         self,
-        letters: tuple[Structure, ...],
-        choices: tuple[Choice, ...],
-        hist: tuple[frozenset, ...],
+        parent: Optional["Trace"],
+        last: Structure,
+        choice: Optional[Choice],
+        length: int,
+        input: Structure,
+        hist: tuple[int, ...],
+        hash_: int,
     ):
-        self.letters = letters
-        self.choices = choices
+        self.parent = parent
+        self.last = last
+        self.choice = choice
+        self.length = length
+        self.input = input
         self.hist = hist
+        self._hash = hash_
 
     @classmethod
     def initial(cls, input_structure: Structure) -> "Trace":
         nregs = len(input_structure.vocabulary.register_symbols)
-        return cls((input_structure,), (), (frozenset(),) * nregs)
+        return cls(
+            None, input_structure, None, 1, input_structure, (0,) * nregs,
+            hash(input_structure.registers),
+        )
+
+    def _chain(self) -> list["Trace"]:
+        """The nodes from the input letter to this one."""
+        nodes = []
+        node = self
+        while node is not None:
+            nodes.append(node)
+            node = node.parent
+        nodes.reverse()
+        return nodes
 
     @property
-    def input(self) -> Structure:
-        return self.letters[0]
+    def letters(self) -> tuple[Structure, ...]:
+        return tuple(node.last for node in self._chain())
 
     @property
-    def last(self) -> Structure:
-        return self.letters[-1]
+    def choices(self) -> tuple[Choice, ...]:
+        """The module choice that produced each non-input letter."""
+        return tuple(node.choice for node in self._chain()[1:])
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self.length
 
     def extend(self, letter: Structure, choice: Choice) -> "Trace":
         prev = self.last
-        hist = tuple(
-            values | {prev.registers[i]} for i, values in enumerate(self.hist)
+        # a plain loop: a generator expression costs a frame on every step;
+        # a mask that already has the bit is kept, not copied
+        hist = []
+        for h, v in zip(self.hist, prev.registers):
+            bit = _value_bit(v, prev)
+            hist.append(h if h & bit else h | bit)
+        return Trace(
+            self, letter, choice, self.length + 1, self.input, tuple(hist),
+            hash((self._hash, letter.registers)),
         )
-        return Trace(self.letters + (letter,), self.choices + (choice,), hist)
 
     def key(self) -> tuple:
         """Content key: the valuation of every letter (EDB is fixed per run)."""
-        return tuple(letter.registers for letter in self.letters)
+        return tuple(node.last.registers for node in self._chain())
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.key() == other.key() and self.input == other.input
+        if self.length != other.length or self._hash != other._hash:
+            return False
+        a, b = self, other
+        while a is not b:  # walk back to a shared ancestor, if any
+            if a.last.registers != b.last.registers:
+                return False
+            if a.parent is None:
+                return a.input == b.input
+            a, b = a.parent, b.parent
+        return True
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"<Trace len={len(self)}>"
+
+
+def _value_bit(value: Optional[str], letter: Structure) -> int:
+    """History bit of a register value: bit 0 for blank, i+1 for element i."""
+    return 1 if value is None else 2 << letter.element_order(value)
 
 
 def _interp(symbol: str, letter: Structure) -> frozenset[str]:
@@ -119,15 +170,14 @@ def check_bg(p: str, q: str, trace: Trace) -> bool:
     if pi is not None and qi is not None:
         # register vs register: singleton-or-blank sets are equal iff the
         # stored values are, blank included
-        return last.registers[pi] not in trace.hist[qi]
+        return not trace.hist[qi] & _value_bit(last.registers[pi], last)
     target = _interp(p, last)
     if qi is not None:
-        values = trace.hist[qi]
         if not target:
-            return None not in values
+            return not trace.hist[qi] & 1
         if len(target) == 1:
             (e,) = target
-            return e not in values
+            return not trace.hist[qi] & _value_bit(e, last)
         return True  # register interpretations never have two elements
     past = _interp(q, last)  # EDB: constant along the trace
     return len(trace) < 2 or past != target
@@ -284,7 +334,7 @@ class Evaluator:
                 else:
                     scope.hit = True
             case T.MaxIterate(a):
-                yield from self._iterate(a, trace, frozenset((trace.last.registers,)), scope, depth)
+                yield from self._iterate(a, trace, {trace.last.registers}, scope, depth)
             case T.EqTest(p, q):
                 if check_eq(p, q, trace):
                     yield trace
@@ -295,12 +345,15 @@ class Evaluator:
                 raise TypeError(f"term is not in core form: {term!r}")
 
     def _iterate(
-        self, body: T.Term, trace: Trace, seen: frozenset, scope: _Scope, depth: int
+        self, body: T.Term, trace: Trace, seen: set, scope: _Scope, depth: int
     ) -> Iterator[Trace]:
         # Unfold the body while it can make a step; exit exactly when it is
         # (provably) undefined at the frontier.  Unfoldings that revisit a
         # milestone valuation are rejected outright, which both enforces the
-        # no-loop rule and makes the unfolding space finite.
+        # no-loop rule and makes the unfolding space finite.  ``seen`` holds
+        # the milestones of the current unfolding path: one set per iterate,
+        # each key added before recursing and discarded after, also when the
+        # consumer closes the generator early.
         sub = _Scope()
         any_step = False
         for u in self.iter_extensions(body, trace, sub, depth):
@@ -308,7 +361,11 @@ class Evaluator:
             key = u.last.registers
             if key in seen:
                 continue
-            yield from self._iterate(body, u, seen | {key}, scope, depth)
+            seen.add(key)
+            try:
+                yield from self._iterate(body, u, seen, scope, depth)
+            finally:
+                seen.discard(key)
         if sub.hit:
             scope.hit = True
         if not any_step and not sub.hit:

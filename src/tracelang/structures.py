@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
     ArityError,
@@ -108,7 +108,7 @@ class Structure:
     ``vocabulary.register_symbols``; entries are an element or ``None``.
     """
 
-    __slots__ = ("vocabulary", "domain", "edb", "registers", "_dindex", "_adom", "_usets")
+    __slots__ = ("vocabulary", "domain", "edb", "registers", "_dindex", "_adom", "_usets", "_index")
 
     def __init__(
         self,
@@ -147,6 +147,7 @@ class Structure:
         object.__setattr__(self, "_dindex", {e: i for i, e in enumerate(domain)})
         object.__setattr__(self, "_adom", frozenset((e,) for e in domain))
         object.__setattr__(self, "_usets", {})  # unary EDB interp cache, shared down a trace
+        object.__setattr__(self, "_index", {})  # EDB hash indexes of ``cq``, shared likewise
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")
@@ -171,6 +172,7 @@ class Structure:
         object.__setattr__(new, "_dindex", self._dindex)
         object.__setattr__(new, "_adom", self._adom)
         object.__setattr__(new, "_usets", self._usets)
+        object.__setattr__(new, "_index", self._index)
         return new
 
     def element_order(self, element: str) -> int:
@@ -363,32 +365,3 @@ def serialize_structure(s: Structure) -> str:
         out.append(f"state {reg}={val if val is not None else '_'}")
     return "\n".join(out) + "\n"
 
-
-def make_structure(
-    domain: Iterable[str],
-    edb: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
-    registers: Iterable[str] = (),
-    arities: Mapping[str, int] | None = None,
-) -> Structure:
-    """Convenience constructor for tests and generators.
-
-    Arities default to the length of the first tuple of each EDB relation;
-    empty relations need an explicit entry in ``arities``.
-    """
-    domain = tuple(domain)
-    edb = {k: frozenset(v) for k, v in (edb or {}).items()}
-    decls: list[tuple[str, int]] = []
-    for name, tuples in edb.items():
-        if arities and name in arities:
-            decls.append((name, arities[name]))
-        elif tuples:
-            decls.append((name, len(next(iter(tuples)))))
-        else:
-            raise ArityError(f"empty relation {name} needs an explicit arity")
-    if arities:
-        for name, arity in arities.items():
-            if name not in edb:
-                decls.append((name, arity))
-                edb[name] = frozenset()
-    vocab = Vocabulary(tuple(decls), tuple(registers), len(domain))
-    return Structure(vocab, domain, edb, blank_registers(vocab))

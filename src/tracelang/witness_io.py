@@ -57,7 +57,8 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
         ("choices", list),
         ("final_length", int),
     ):
-        if field not in doc or not isinstance(doc[field], typ):
+        # a JSON true or false is a Python bool, and bool is a subclass of int
+        if field not in doc or not isinstance(doc[field], typ) or isinstance(doc[field], bool):
             raise ParseError(f"witness file lacks a valid {field!r} field")
     choices = []
     for entry in doc["choices"]:
@@ -98,13 +99,3 @@ def verify_witness_file(
     ok = verify_witness(program, structure, witness, cfg)
     return ok, "witness replays cleanly" if ok else "replay failed"
 
-
-def _canonical_choice(c: Choice) -> Choice:
-    return Choice(c.module, tuple(sorted(c.assignment)))
-
-
-def witness_equal_modulo_order(a: Witness, b: Witness) -> bool:
-    """Equality up to assignment-entry order inside each choice."""
-    return a.final_length == b.final_length and tuple(
-        map(_canonical_choice, a.choices)
-    ) == tuple(map(_canonical_choice, b.choices))

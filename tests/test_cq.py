@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from tracelang.cq import Atom, CQBody, evaluate_unary_cq, free_and_bound_vars
+from tracelang.cq import Atom, CQBody, Const, evaluate_unary_cq, free_and_bound_vars
 from tracelang.errors import ArityError, HeadVarUnusedError, UnknownSymbolError
 from tracelang.structures import permute_structure
 
@@ -104,3 +105,84 @@ def test_isomorphism_equivariance():
         left = evaluate_unary_cq(body, permute_structure(s, pi))
         right = frozenset(pi[e] for e in evaluate_unary_cq(body, s))
         assert left == right
+
+
+def _join_structure(rng):
+    """Unary, binary and ternary EDB tables plus two registers."""
+    n = rng.randint(1, 4)
+    domain = tuple("abcd"[:n])
+    return structure_of(
+        domain,
+        {
+            "U": {(e,) for e in domain if rng.random() < 0.5},
+            "E": {t for t in itertools.product(domain, repeat=2) if rng.random() < 0.4},
+            "F": {t for t in itertools.product(domain, repeat=3) if rng.random() < 0.25},
+        },
+        registers=("P", "Q"),
+        arities={"U": 1, "E": 2, "F": 3},
+    )
+
+
+_ARITY = {"adom": 1, "U": 1, "P": 1, "Q": 1, "E": 2, "F": 3}
+
+
+def _random_join_body(rng, domain):
+    """Bodies with constants, variables repeated within one atom (``E(x, x)``)
+    and register atoms anywhere in the atom order."""
+
+    def arg():
+        return Const(rng.choice(domain)) if rng.random() < 0.2 else rng.choice("xyzw")
+
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        symbol = rng.choice(("adom", "U", "P", "Q", "E", "E", "F", "F"))
+        arity = _ARITY[symbol]
+        if arity > 1 and rng.random() < 0.3:
+            args = (rng.choice("xyzw"),) * arity
+        else:
+            args = tuple(arg() for _ in range(arity))
+        atoms.append(Atom(symbol, args))
+    if "x" not in CQBody("x", tuple(atoms)).variables():
+        symbol = rng.choice(("U", "P", "E", "F"))
+        args = [arg() for _ in range(_ARITY[symbol])]
+        args[rng.randrange(len(args))] = "x"
+        atoms.insert(rng.randint(0, len(atoms)), Atom(symbol, tuple(args)))
+    return CQBody("x", tuple(atoms))
+
+
+def _random_letter(rng, s):
+    return s.with_registers(tuple(rng.choice((None,) + s.domain) for _ in range(2)))
+
+
+def test_indexed_join_agrees_with_naive_oracle():
+    rng = random.Random(19)
+    shapes = {"const": 0, "repeated": 0, "ternary": 0, "reg_first": 0, "reg_after_edb": 0}
+    for _ in range(400):
+        s = _random_letter(rng, _join_structure(rng))
+        body = _random_join_body(rng, s.domain)
+        assert evaluate_unary_cq(body, s) == naive_unary_cq(body, s), body
+        symbols = [a.symbol for a in body.atoms]
+        shapes["const"] += any(isinstance(a, Const) for atom in body.atoms for a in atom.args)
+        shapes["repeated"] += any(len(set(atom.args)) < len(atom.args) for atom in body.atoms)
+        shapes["ternary"] += "F" in symbols
+        registers = [i for i, x in enumerate(symbols) if x in ("P", "Q")]
+        edbs = [i for i, x in enumerate(symbols) if x in ("E", "F")]
+        if registers and edbs:
+            shapes["reg_first"] += registers[0] < edbs[0]
+            shapes["reg_after_edb"] += registers[-1] > edbs[0]
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_letters_of_one_structure_share_an_index_of_the_edb_only():
+    # The index is built once per EDB table and shared by every letter that
+    # with_registers derives; evaluating the letters in alternation shows it
+    # never keeps a register value from the letter that built it.
+    rng = random.Random(23)
+    for _ in range(40):
+        s = _join_structure(rng)
+        letters = [_random_letter(rng, s) for _ in range(4)]
+        bodies = [_random_join_body(rng, s.domain) for _ in range(4)]
+        for _ in range(3):
+            for body in bodies:
+                for letter in letters:
+                    assert evaluate_unary_cq(body, letter) == naive_unary_cq(body, letter)

@@ -373,3 +373,86 @@ def test_replay_stack_depth_is_flat_in_chain_length(monkeypatch):
         assert len(depths) == j
         max_depth[j] = max(depths)
     assert max_depth[5] == max_depth[40]
+
+
+def _ref_check_bg(p, q, letters):
+    target = letters[-1].interp(p)
+    return all(earlier.interp(q) != target for earlier in letters[:-1])
+
+
+def test_persistent_trace_matches_tuple_reference():
+    # Random walks that extend one node into several siblings, including a
+    # probe extension that is dropped before the real one (the order replay's
+    # maximum iterate uses: the exists check first, then the step).  Every
+    # node is checked against the letters and choices it was built from.
+    rng = random.Random(47)
+    for _ in range(25):
+        s = structure_of(
+            ("a", "b", "c"), {"U": {("a",), ("c",)}}, registers=("P", "Q"), arities={"U": 1}
+        )
+        root = Trace.initial(s)
+        nodes = [(root, (s,), ())]
+        for _ in range(60):
+            node, letters, choices = rng.choice(nodes)
+            values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
+            choice = Choice("m", tuple(zip(("P", "Q"), values)))
+            if rng.random() < 0.3:
+                node.extend(s.with_registers(values), choice)  # probe, dropped
+                values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
+            letter = s.with_registers(values)
+            nodes.append((node.extend(letter, choice), letters + (letter,), choices + (choice,)))
+        # an equal chain with no shared ancestor, from an equal input
+        twin = Trace.initial(structure_of(
+            ("a", "b", "c"), {"U": {("a",), ("c",)}}, registers=("P", "Q"), arities={"U": 1}
+        ))
+        _, letters, choices = max(nodes, key=lambda n: len(n[1]))
+        for letter, choice in zip(letters[1:], choices):
+            twin = twin.extend(letter, choice)
+        nodes.append((twin, letters, choices))
+        # same valuations over a different EDB: never equal
+        other = Trace.initial(structure_of(
+            ("a", "b", "c"), {"U": {("b",)}}, registers=("P", "Q"), arities={"U": 1}
+        ))
+        nodes.append((other, (other.input,), ()))
+
+        for trace, letters, choices in nodes:
+            assert trace.letters == letters and trace.choices == choices
+            assert trace.key() == tuple(letter.registers for letter in letters)
+            assert len(trace) == len(letters) and trace.last is letters[-1]
+            for p in ("P", "Q", "U"):
+                for q in ("P", "Q", "U"):
+                    assert check_bg(p, q, trace) == _ref_check_bg(p, q, letters)
+                    assert check_eq(p, q, trace) == (
+                        letters[-1].interp(p) == letters[-1].interp(q)
+                    )
+        for a, la, _ in rng.sample(nodes, 30):
+            for b, lb, _ in nodes:
+                same = la == lb
+                assert (a == b) == same and (b == a) == same
+                if same:
+                    assert hash(a) == hash(b)
+
+
+def test_st_conn_path_memory_is_linear_in_trace_length():
+    # Extending a trace shares its prefix and CQ steps look edges up in an
+    # index, so deciding a 1,200-node path stays far below the 200+ MiB that
+    # whole-trace copies took.  The peak is counted by tracemalloc, not timed.
+    import tracemalloc
+
+    from tracelang.problems import ProblemId, build_program, make_st_instance
+
+    n = 1200
+    order = list(range(n))
+    random.Random(1200).shuffle(order)
+    edges = list(zip(order, order[1:]))
+    for s, t, kind, nodes in ((order[0], order[-1], "yes", 2399), (order[1], order[0], "no", 2397)):
+        inst = make_st_instance(n, edges, s, t)
+        prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
+        tracemalloc.start()
+        try:
+            verdict = run_main_task(prog, inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == kind and verdict.nodes == nodes
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
