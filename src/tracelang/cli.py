@@ -10,7 +10,10 @@ Exit codes are the scripting contract:
 
 ``--format json`` emits key-sorted JSON; with ``--no-timing`` the report is
 byte-identical across runs on identical inputs.  The environment variable
-``PROMISE_MAX_NODES`` caps the number of search nodes globally.
+``PROMISE_MAX_NODES`` caps the number of search nodes globally.  Both that
+cap and ``nodes_explored`` count module steps actually expanded; a universal
+check answered directly on the trace or from the evaluator's table expands
+none.
 """
 
 from __future__ import annotations
@@ -48,6 +51,18 @@ def _node_budget() -> Optional[int]:
     except ValueError:
         print(f"ignoring non-integer PROMISE_MAX_NODES={raw!r}", file=sys.stderr)
         return None
+
+
+def _exponent(text: str) -> int:
+    """The ``--k`` of every command: a nonnegative int, checked here so that
+    every command rejects a bad one with the same usage exit."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"k must be an integer, got {text!r}") from None
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"k must be nonnegative, got {k}")
+    return k
 
 
 def _read(path: str) -> str:
@@ -219,7 +234,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="decide the main task for a program on a structure")
     run.add_argument("--program", required=True)
     run.add_argument("--structure", required=True)
-    run.add_argument("--k", type=int, default=2, help="length-bound exponent (default 2)")
+    run.add_argument("--k", type=_exponent, default=2, help="length-bound exponent (default 2)")
     run.add_argument("--max-len", type=int, default=None, help="override the trace length bound")
     run.add_argument("--witness", default=None, help="write the certificate here on yes")
     run.add_argument("--format", choices=["text", "json"], default="text")
@@ -238,7 +253,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     equiv.add_argument("--program", required=True)
     equiv.add_argument("--structure", required=True)
     equiv.add_argument("--mode", choices=["strong", "before-after"], default="strong")
-    equiv.add_argument("--k", type=int, default=2)
+    equiv.add_argument("--k", type=_exponent, default=2)
     equiv.add_argument("--max-len", type=int, default=None)
     equiv.set_defaults(func=cmd_equiv)
 
@@ -247,7 +262,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     suite.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
     suite.add_argument("--trials", type=int, default=20)
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--k", type=int, default=2)
+    suite.add_argument("--k", type=_exponent, default=2)
     suite.add_argument("--no-timing", action="store_true")
     suite.set_defaults(func=cmd_suite)
 

@@ -2,10 +2,19 @@
 
 A term is evaluated on a trace (a nonempty string of structures) by
 depth-first search over module choices.  Anti-domain tests, the left arm of a
-preferential union, and maximum-iterate exit checks each open a nested
-exhaustive search over a fresh choice of guesses; those checks are
+preferential union, and maximum-iterate exit checks are universal checks:
+does any extension of the trace let the checked term succeed?  They are
 three-valued under the configured bounds, and any inconclusive check turns a
 would-be "no" into "bound-exceeded", never into a wrong answer.
+
+A check is first evaluated directly on the trace, as a test that keeps the
+trace or fails; a term with no module in it is always decided so, with no
+nested search.  A check that reaches a module opens a nested exhaustive
+search over a fresh choice of guesses, and its definite answers are tabled
+per evaluator on the term's footprint: the registers its modules and tests
+can read or write, the history of the registers its history tests look back
+on, the trace length and the check depth.  A check answered directly or from
+the table expands no node.
 
 A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
@@ -16,11 +25,14 @@ needs no backtracking.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
     ChoiceMismatchError,
+    InvalidParamsError,
     NonUnarySymbolError,
     StaleChoiceError,
     TraceLangError,
@@ -183,6 +195,9 @@ def check_bg(p: str, q: str, trace: Trace) -> bool:
     return len(trace) < 2 or past != target
 
 
+_LENGTH_CAP = 1 << 62
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds for the search.
@@ -191,9 +206,12 @@ class SearchConfig:
     ``max(2, n) ** k + 2``: the polynomial bound on added letters, plus the
     input letter, plus one letter of headroom so that exhaustion probes (a
     guess that must be materialized before a freshness test can reject it)
-    stay conclusive at very small domains.  ``max_antidomain_depth`` caps the
-    nesting of universal checks and defaults to the static requirement of the
-    term, so it only bites when explicitly lowered.
+    stay conclusive at very small domains.  No search builds a trace near
+    ``2 ** 62`` letters, so the default is cut there: no answer changes, and
+    a huge ``k`` costs no more than ``k = 62``.
+    ``max_antidomain_depth`` caps the nesting of universal checks and
+    defaults to the static requirement of the term, so it only bites when
+    explicitly lowered.
     """
 
     k: int = 2
@@ -213,11 +231,16 @@ class SearchConfig:
         witness_limit: int = 1000,
         node_budget: Optional[int] = None,
     ) -> "SearchConfig":
-        n = len(input_structure.domain)
+        if k < 0:
+            raise InvalidParamsError(f"the length-bound exponent k must be nonnegative, got {k}")
         if max_trace_length is None:
-            max_trace_length = max(2, n) ** k + 2
+            # max(2, n) ** 62 >= 2 ** 62, so capping k first bounds the power
+            power = max(2, len(input_structure.domain)) ** min(k, 62)
+            max_trace_length = min(power, _LENGTH_CAP) + 2
         if max_antidomain_depth is None:
-            max_antidomain_depth = max(1, T.antidomain_depth(program.core))
+            # desugaring and the depth walk recurse once per sequence level
+            with _deep_stack():
+                max_antidomain_depth = max(1, T.antidomain_depth(program.core))
         return cls(k, max_trace_length, max_antidomain_depth, witness_limit, node_budget)
 
 
@@ -255,6 +278,15 @@ class _ReplayFail(Exception):
     pass
 
 
+# What ``Evaluator._test`` answers when only a search can decide a check.
+_SEARCH = object()
+
+
+def _no_registers(_registers) -> tuple:
+    """The footprint getter of a term that touches no register."""
+    return ()
+
+
 class _Chooser:
     __slots__ = ("choices", "pos")
 
@@ -262,29 +294,63 @@ class _Chooser:
         self.choices = choices
         self.pos = 0
 
-    def take(self) -> Choice:
+    def peek(self) -> Choice:
+        """The next choice; ``pos`` moves past it only once it is applied."""
         if self.pos >= len(self.choices):
             raise ChoiceMismatchError("certificate has fewer choices than the derivation needs")
-        c = self.choices[self.pos]
-        self.pos += 1
-        return c
+        return self.choices[self.pos]
 
     def exhausted(self) -> bool:
         return self.pos == len(self.choices)
 
 
+# Search nests one generator per sequence level and per iterate unfolding.
+_RECURSION_LIMIT = 20000
+
+
+@contextmanager
+def _deep_stack():
+    """Raise the interpreter's recursion limit for one public call and give
+    the caller's limit back afterwards, also when the call raises."""
+    old = sys.getrecursionlimit()
+    if old < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 class Evaluator:
-    """Evaluates core terms of one program under one bound configuration."""
+    """Evaluates core terms of one program under one bound configuration.
+
+    ``nodes`` counts module steps actually expanded.  ``exists_calls``
+    counts universal checks and ``table_hits`` those answered from the
+    table, which expand no node.
+    """
 
     def __init__(self, program: Program, cfg: SearchConfig):
         self.program = program
         self.cfg = cfg
         self.nodes = 0
-        # successors depend only on the frontier letter, which recurs a lot
-        # across branches of the search
+        self.exists_calls = 0
+        self.table_hits = 0
+        # id(term) -> (term, cur getter, past getter), see ``_footprint``
+        self._footprints: dict[int, tuple] = {}
+        self._module_regs: dict[str, set[int]] = {}
+        # Per input: successors depend only on the frontier letter, which
+        # recurs a lot across branches of the search, and the table holds
+        # the definite answers of module-bearing checks.
+        self._input: Optional[Structure] = None
         self._succ: dict[tuple, tuple] = {}
-        if sys.getrecursionlimit() < 20000:
-            sys.setrecursionlimit(20000)
+        self._table: dict[tuple, bool] = {}
+
+    def _bind(self, input_structure: Structure) -> None:
+        """Drop the per-input caches when the input changes."""
+        if input_structure is not self._input:
+            self._input = input_structure
+            self._succ.clear()
+            self._table.clear()
 
     def _successors(self, name: str, letter) -> tuple:
         key = (name, letter.registers)
@@ -373,27 +439,166 @@ class Evaluator:
 
     def exists(self, term: T.Term, trace: Trace, depth: int = 1):
         """Three-valued: is there any bounded extension on which ``term``
-        succeeds?  ``None`` means the bounded search was inconclusive."""
+        succeeds?  ``None`` means the bounded search was inconclusive.
+
+        The term is first evaluated directly on the trace, which decides it
+        unless a module must be expanded.  Otherwise a definite answer (True,
+        or False from a complete search) is tabled on the term's footprint;
+        ``None`` is never stored.
+        """
+        self.exists_calls += 1
         if depth > self.cfg.max_antidomain_depth:
             return None
+        r = self._test(term, trace, depth)
+        if r is not _SEARCH:
+            return r
+        if trace.input is not self._input:
+            self._bind(trace.input)
+        fp = self._footprints.get(id(term))
+        if fp is None:
+            fp = self._footprint(term)
+        _, cur, past = fp
+        # Registers outside the footprint stay unchanged and unread along
+        # every extension (milestone comparisons included), so the answer
+        # depends only on this key.
+        key = (
+            id(term),
+            cur(trace.last.registers),
+            past(trace.hist) if past is not None else None,
+            trace.length,
+            depth,
+        )
+        r = self._table.get(key)
+        if r is not None:
+            self.table_hits += 1
+            return r
         sub = _Scope()
         for _ in self.iter_extensions(term, trace, sub, depth):
-            return True
-        return None if sub.hit else False
+            r = True
+            break
+        else:
+            r = None if sub.hit else False
+        if r is not None:
+            self._table[key] = r
+        return r
+
+    def _footprint(self, term: T.Term) -> tuple:
+        """``(term, cur, past)``, computed once per term object with an
+        explicit stack.  ``cur`` gets every register that a module of the
+        term reads in a rule body or writes, and both sides of every equality
+        and history test; ``past`` gets the history of the past side of
+        every history test, or is None when there is none.  Holding the term
+        keeps its id unique while the table lives."""
+        rindex = self.program.vocabulary.register_index
+        cur: set[int] = set()
+        past: set[int] = set()
+        stack = [term]
+        # type tests, not class patterns: this walk runs once per checked
+        # term object, and the terms of a run are desugared afresh
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            if cls is T.Seq or cls is T.PrefUnion:
+                stack.append(t.left)
+                stack.append(t.right)
+            elif cls is T.AntiDomain or cls is T.MaxIterate:
+                stack.append(t.term)
+            elif cls is T.ModuleRef:
+                cur |= self._module_registers(t.name)
+            elif cls is T.EqTest:
+                cur.update(rindex[x] for x in (t.left, t.right) if x in rindex)
+            elif cls is T.BackGlobal:
+                cur.update(rindex[x] for x in (t.current, t.past) if x in rindex)
+                if t.past in rindex:
+                    past.add(rindex[t.past])
+        # a term that names no register, such as ``~id``, has an empty
+        # footprint, and ``itemgetter()`` needs at least one index
+        fp = (
+            term,
+            itemgetter(*sorted(cur)) if cur else _no_registers,
+            itemgetter(*sorted(past)) if past else None,
+        )
+        self._footprints[id(term)] = fp
+        return fp
+
+    def _module_registers(self, name: str) -> set[int]:
+        """Indexes of the registers that a module reads or writes."""
+        regs = self._module_regs.get(name)
+        if regs is None:
+            rindex = self.program.vocabulary.register_index
+            regs = set()
+            for rule in self.program.modules[name].rules:
+                regs.add(rindex[rule.head])
+                regs.update(rindex[a.symbol] for a in rule.body.atoms if a.symbol in rindex)
+            self._module_regs[name] = regs
+        return regs
+
+    def _test(self, term: T.Term, trace: Trace, depth: int):
+        """Evaluate ``term`` directly on ``trace`` as a three-valued test:
+        exactly what a nested search at ``depth`` would return, without one,
+        or ``_SEARCH`` when the evaluation reaches a module, which only a
+        search can expand.  A sequence is true when all its parts are, else
+        its first part that is not; it is walked from a worklist, so a long
+        chain stays flat.  Nodes are told apart by type tests, which cost
+        about half as much as class patterns on this hot path."""
+        max_depth = self.cfg.max_antidomain_depth
+        work = [term]
+        while work:
+            t = work.pop()
+            cls = type(t)
+            if cls is T.Seq:
+                work.append(t.right)
+                work.append(t.left)
+                continue
+            if cls is T.BackGlobal:
+                r = check_bg(t.current, t.past, trace)
+            elif cls is T.AntiDomain:
+                r = None if depth >= max_depth else self._test(t.term, trace, depth + 1)
+                if r is not None and r is not _SEARCH:
+                    r = not r
+            elif cls is T.EqTest:
+                r = check_eq(t.left, t.right, trace)
+            elif cls is T.ModuleRef:
+                return _SEARCH
+            elif cls is T.Id:
+                continue
+            elif cls is T.PrefUnion:
+                r = None if depth >= max_depth else self._test(t.left, trace, depth + 1)
+                if r is None or r is _SEARCH:
+                    return r
+                work.append(t.left if r else t.right)
+                continue
+            elif cls is T.MaxIterate:
+                r = self._test(t.term, trace, depth)
+                if r is not None and r is not _SEARCH:
+                    r = not r
+            else:
+                raise TypeError(f"term is not in core form: {t!r}")
+            if r is not True:
+                return r
+        return True
 
     def extensions(self, term: T.Term, trace: Trace) -> tuple[list[Trace], bool]:
         """Eager enumeration: (all extensions found, enumeration complete?)."""
-        scope = _Scope()
-        found = list(self.iter_extensions(term, trace, scope, 0))
+        self._bind(trace.input)
+        with _deep_stack():
+            scope = _Scope()
+            found = list(self.iter_extensions(term, trace, scope, 0))
         return found, not scope.hit
 
     # --- verdicts ----------------------------------------------------------
 
     def run(self, input_structure: Structure) -> Verdict:
-        _check_input(self.program, input_structure)
-        trace = Trace.initial(input_structure)
-        scope = _Scope()
-        for result in self.iter_extensions(self.program.core, trace, scope, 0):
+        self._bind(input_structure)
+        with _deep_stack():
+            _check_input(self.program, input_structure)
+            scope = _Scope()
+            # the search generator is dropped, and so closed, inside the block
+            result = next(
+                self.iter_extensions(self.program.core, Trace.initial(input_structure), scope, 0),
+                None,
+            )
+        if result is not None:
             return Verdict(
                 "yes",
                 Witness(result.choices, len(result)),
@@ -403,19 +608,21 @@ class Evaluator:
         return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes)
 
     def enumerate(self, input_structure: Structure) -> list[Witness]:
-        _check_input(self.program, input_structure)
-        trace = Trace.initial(input_structure)
-        scope = _Scope()
-        seen: set = set()
-        out: list[Witness] = []
-        for result in self.iter_extensions(self.program.core, trace, scope, 0):
-            key = result.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Witness(result.choices, len(result)))
-            if len(out) >= self.cfg.witness_limit:
-                break
+        self._bind(input_structure)
+        with _deep_stack():
+            _check_input(self.program, input_structure)
+            trace = Trace.initial(input_structure)
+            scope = _Scope()
+            seen: set = set()
+            out: list[Witness] = []
+            for result in self.iter_extensions(self.program.core, trace, scope, 0):
+                key = result.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(Witness(result.choices, len(result)))
+                if len(out) >= self.cfg.witness_limit:
+                    break
         return out
 
     # --- replay ------------------------------------------------------------
@@ -429,17 +636,24 @@ class Evaluator:
         same bounded procedure the search uses.  Replay's Python stack depth
         does not grow with the length of a sequence chain: a ``pow(t, j)``
         certificate replays at the same depth for every ``j``.
+
+        A failure's message starts with ``at choice i:``, where ``i`` is the
+        number of choices replayed before it (the index of the failing one).
         """
-        if witness.final_length != 1 + len(witness.choices):
-            raise _ReplayFail("final_length does not match the number of choices")
-        if witness.final_length > self.cfg.max_trace_length:
-            raise _ReplayFail("certificate exceeds the configured length bound")
         chooser = _Chooser(witness.choices)
-        trace = self._replay(self.program.core, Trace.initial(input_structure), chooser, 0)
-        if not chooser.exhausted():
-            raise _ReplayFail("certificate has more choices than the derivation uses")
-        if len(trace) != witness.final_length:
-            raise _ReplayFail("replayed trace length differs from final_length")
+        try:
+            with _deep_stack():
+                if witness.final_length != 1 + len(witness.choices):
+                    raise _ReplayFail("final_length does not match the number of choices")
+                if witness.final_length > self.cfg.max_trace_length:
+                    raise _ReplayFail("certificate exceeds the configured length bound")
+                trace = self._replay(self.program.core, Trace.initial(input_structure), chooser, 0)
+            if not chooser.exhausted():
+                raise _ReplayFail("certificate has more choices than the derivation uses")
+            if len(trace) != witness.final_length:
+                raise _ReplayFail("replayed trace length differs from final_length")
+        except (_ReplayFail, ChoiceMismatchError) as e:
+            raise type(e)(f"at choice {chooser.pos}: {e}") from None
         return trace
 
     def _replay(self, term: T.Term, trace: Trace, chooser: _Chooser, depth: int) -> Trace:
@@ -454,7 +668,7 @@ class Evaluator:
                 case T.ModuleRef(name):
                     if len(trace) + 1 > self.cfg.max_trace_length:
                         raise _ReplayFail("length bound reached during replay")
-                    choice = chooser.take()
+                    choice = chooser.peek()
                     if choice.module != name:
                         raise ChoiceMismatchError(
                             f"certificate names module {choice.module}, derivation needs {name}"
@@ -463,6 +677,7 @@ class Evaluator:
                         letter = apply_choice(trace.last, choice, self.program.modules[name])
                     except StaleChoiceError as e:
                         raise ChoiceMismatchError(str(e)) from None
+                    chooser.pos += 1
                     self.nodes += 1
                     trace = trace.extend(letter, choice)
                 case T.Seq(a, b):
@@ -519,13 +734,16 @@ def eval_deltas(
 ) -> tuple[list[Trace], bool]:
     """All bounded extensions of ``trace`` on which ``term`` succeeds, plus a
     flag telling whether the enumeration is complete (no bound was hit)."""
-    return Evaluator(program, cfg).extensions(T.desugar(term), trace)
+    with _deep_stack():
+        core = T.desugar(term)
+    return Evaluator(program, cfg).extensions(core, trace)
 
 
 def holds_antidomain(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Three-valued anti-domain test: True iff no bounded extension lets
     ``term`` succeed; None when the bounded search is inconclusive."""
-    r = Evaluator(program, cfg).exists(T.desugar(term), trace)
+    with _deep_stack():
+        r = Evaluator(program, cfg).exists(T.desugar(term), trace)
     if r is None:
         return None
     return not r
@@ -561,10 +779,22 @@ def verify_witness(
 ) -> bool:
     """Replay a certificate; True iff the deterministic derivation succeeds
     and consumes exactly the recorded choices."""
+    return replay_failure(program, input_structure, witness, cfg) is None
+
+
+def replay_failure(
+    program: Program,
+    input_structure: Structure,
+    witness: Witness,
+    cfg: Optional[SearchConfig] = None,
+) -> Optional[str]:
+    """Replay a certificate; None when it replays cleanly, else why not, as
+    ``at choice i: <reason>`` with ``i`` the number of choices replayed
+    before the failure."""
     if cfg is None:
         cfg = SearchConfig.for_run(program, input_structure)
     try:
         Evaluator(program, cfg).replay(input_structure, witness)
-        return True
-    except (_ReplayFail, ChoiceMismatchError):
-        return False
+        return None
+    except (_ReplayFail, ChoiceMismatchError) as e:
+        return str(e)

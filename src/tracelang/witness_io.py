@@ -10,8 +10,9 @@ Format::
       "final_length": 5
     }
 
-Verification checks both hashes before replaying a single step, so a
-certificate cannot be applied to inputs it was not produced from.
+``k`` must be at least 1.  Verification checks both hashes before replaying
+a single step, so a certificate cannot be applied to inputs it was not
+produced from.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import json
 from typing import Any
 
-from .engine import SearchConfig, Witness, verify_witness
+from .engine import SearchConfig, Witness, replay_failure
 from .errors import ParseError
 from .modules import Choice
 from .parser import parse_program
@@ -60,6 +61,8 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
         # a JSON true or false is a Python bool, and bool is a subclass of int
         if field not in doc or not isinstance(doc[field], typ) or isinstance(doc[field], bool):
             raise ParseError(f"witness file lacks a valid {field!r} field")
+    if doc["k"] < 1:
+        raise ParseError(f"witness file has k = {doc['k']}; k must be at least 1")
     choices = []
     for entry in doc["choices"]:
         if (
@@ -96,6 +99,8 @@ def verify_witness_file(
     except Exception as e:  # parse/validation problems in the source texts
         return False, f"cannot parse inputs: {e}"
     cfg = SearchConfig.for_run(program, structure, k=doc["k"])
-    ok = verify_witness(program, structure, witness, cfg)
-    return ok, "witness replays cleanly" if ok else "replay failed"
+    failure = replay_failure(program, structure, witness, cfg)
+    if failure is None:
+        return True, "witness replays cleanly"
+    return False, f"replay failed {failure}"
 

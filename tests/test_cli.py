@@ -39,6 +39,14 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 64
 
 
+def test_every_command_rejects_a_negative_k(even_files, capsys):
+    files = ["--program", even_files["program"], "--structure", even_files[4]]
+    assert main(["run", *files, "--k", "-1"]) == 64
+    assert main(["equiv", *files, "--left", "id", "--right", "id", "--k", "-1"]) == 64
+    assert main(["suite", "--problem", "even", "--n-range", "1..2", "--k", "-1"]) == 64
+    assert capsys.readouterr().err.count("k must be nonnegative, got -1") == 3
+
+
 def test_witness_write_verify_and_hash_mismatch(even_files, tmp_path, capsys):
     witness = tmp_path / "w.json"
     assert (
@@ -106,6 +114,7 @@ def test_witness_write_verify_and_hash_mismatch(even_files, tmp_path, capsys):
         )
         == 1
     )
+    assert capsys.readouterr().out.startswith("invalid: replay failed at choice ")
 
 
 def test_equiv_exit_codes(even_files, capsys):

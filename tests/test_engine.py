@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tracelang import engine, terms as T
+from tracelang.cq import Atom, CQBody
 from tracelang.engine import (
     Evaluator,
     SearchConfig,
@@ -20,10 +21,11 @@ from tracelang.engine import (
     witness_length,
 )
 from tracelang.errors import TraceLangError
-from tracelang.modules import Choice
-from tracelang.parser import parse_program
+from tracelang.lab import UNKNOWN, is_defined
+from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
+from tracelang.parser import Program, parse_program
 
-from helpers import random_program, random_structure, structure_of
+from helpers import random_core_term, random_program, random_structure, structure_of
 
 
 def _program(text, structure):
@@ -456,3 +458,276 @@ def test_st_conn_path_memory_is_linear_in_trace_length():
             tracemalloc.stop()
         assert verdict.kind == kind and verdict.nodes == nodes
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _random_walk(rng, program, trace, steps):
+    """Extend ``trace`` by up to ``steps`` random module steps."""
+    for _ in range(steps):
+        module = program.modules[rng.choice(sorted(program.modules))]
+        choices = successor_choices(module, trace.last)
+        if not choices:
+            break
+        choice = rng.choice(choices)
+        trace = trace.extend(apply_choice(trace.last, choice), choice)
+    return trace
+
+
+def _random_one_rule_module(rng, name):
+    """One rule: a head among P, Q, R, guessed from adom, U or a register,
+    possibly through one edge."""
+    source = rng.choice(["adom", "U", "P", "Q", "R"])
+    if rng.random() < 0.5:
+        atoms = (Atom(source, ("x",)),)
+    else:
+        atoms = (Atom(source, ("y",)), Atom("E", ("y", "x")))
+    return ModuleDef(name, (Rule(rng.choice("PQR"), CQBody("x", atoms)),))
+
+
+def _trace_of(s, valuations):
+    """The trace over input ``s`` whose later letters hold ``valuations``."""
+    trace = Trace.initial(s)
+    for values in valuations:
+        trace = trace.extend(s.with_registers(values), Choice("m", ()))
+    return trace
+
+
+def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
+    # One shared evaluator answers repeated module-bearing checks from its
+    # table, keyed on the term's footprint; a fresh evaluator per query has
+    # nothing tabled.  The traces are one random trace and every variant of
+    # it that changes one register at one letter, so a register left out of
+    # a key, or a history left out, shows as a stale answer.  Every query
+    # comes over each of two inputs that differ only in their EDB.
+    rng = random.Random(53)
+    hits = 0
+    for _ in range(40):
+        inputs = [
+            structure_of(
+                ("a", "b"),
+                {"U": u, "E": e},
+                registers=("P", "Q", "R"),
+                arities={"U": 1, "E": 2},
+            )
+            for u, e in (
+                ({("a",)}, {("a", "b"), ("b", "a"), ("b", "b")}),
+                ({("b",)}, {("a", "a"), ("a", "b")}),
+            )
+        ]
+        modules = {f"M{i}": _random_one_rule_module(rng, f"M{i}") for i in range(4)}
+        prog = Program(inputs[0].vocabulary, modules, T.Id())
+        cfg = SearchConfig(
+            k=2, max_trace_length=rng.randint(4, 6), max_antidomain_depth=rng.randint(1, 3)
+        )
+        terms = []
+        for _ in range(4):
+            names = rng.sample(sorted(modules), 2)
+            t = random_core_term(rng, names, rng.randint(1, 3))
+            # a leading module step sends the whole check to the table
+            terms.append(T.Seq(T.ModuleRef(names[0]), t) if rng.random() < 0.7 else t)
+        values = (None, "a", "b")
+        base = [tuple(rng.choice(values) for _ in range(3)) for _ in range(rng.randint(1, 2))]
+        variants = [base]
+        for i, letter in enumerate(base):
+            for r in range(3):
+                for v in values:
+                    if v != letter[r]:
+                        changed = letter[:r] + (v,) + letter[r + 1 :]
+                        variants.append(base[:i] + [changed] + base[i + 1 :])
+        # and traces of other lengths, for the length bound
+        variants += [base[:-1], base + [tuple(rng.choice(values) for _ in range(3))]]
+        traces = [_trace_of(s, vs) for s in inputs for vs in variants]
+        queries = [(t, tr, d) for t in terms for tr in traces for d in (1, 2)]
+        rng.shuffle(queries)
+        shared = Evaluator(prog, cfg)
+        for t, tr, d in queries:
+            assert shared.exists(t, tr, d) == Evaluator(prog, cfg).exists(t, tr, d)
+        hits += shared.table_hits
+        assert shared.exists_calls >= len(queries)  # nested checks count too
+    assert hits > 0
+
+
+def _random_test_term(rng, depth):
+    """Random module-free core term over the registers P, Q and the EDB U."""
+    if depth <= 0 or rng.random() < 0.3:
+        kind = rng.choice(["id", "eq", "bg"])
+        if kind == "id":
+            return T.Id()
+        p, q = rng.choice("PQU"), rng.choice("PQU")
+        return T.EqTest(p, q) if kind == "eq" else T.BackGlobal(p, q)
+    kind = rng.choice(["seq", "union", "anti", "iter"])
+    if kind in ("seq", "union"):
+        cls = T.Seq if kind == "seq" else T.PrefUnion
+        return cls(_random_test_term(rng, depth - 1), _random_test_term(rng, depth - 1))
+    cls = T.AntiDomain if kind == "anti" else T.MaxIterate
+    return cls(_random_test_term(rng, depth - 1))
+
+
+def _nested_search(ev, term, trace, depth):
+    """What ``exists`` answers by opening a nested search."""
+    if depth > ev.cfg.max_antidomain_depth:
+        return None
+    scope = engine._Scope()
+    for _ in ev.iter_extensions(term, trace, scope, depth):
+        return True
+    return None if scope.hit else False
+
+
+def test_module_free_checks_match_the_oracle_and_the_nested_search():
+    # A module-free check is evaluated directly on the trace.  At ample depth
+    # it agrees with the denotational oracle; at every depth, a lowered one
+    # included, it returns exactly what a nested search returns.
+    rng = random.Random(59)
+    for _ in range(300):
+        s = random_structure(rng)
+        prog = random_program(rng, s, depth=1)
+        trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
+        t = _random_test_term(rng, rng.randint(1, 4))
+        ample = 1 + T.antidomain_depth(t)
+        cfg = SearchConfig(k=2, max_trace_length=8, max_antidomain_depth=ample)
+        ev = Evaluator(prog, cfg)
+        assert ev.exists(t, trace) == is_defined(prog, t, trace, cfg)
+        for max_depth in range(ample + 1):
+            low = Evaluator(prog, dataclasses.replace(cfg, max_antidomain_depth=max_depth))
+            r = low.exists(t, trace)
+            assert r is None or r == is_defined(prog, t, trace, cfg)
+            assert r == _nested_search(low, t, trace, 1)
+            assert low.nodes == 0 and not low._table
+
+
+def test_exists_matches_the_nested_search_on_terms_with_modules():
+    # A check is first evaluated directly and handed to a search only when
+    # it reaches a module: the answer and the nodes expanded are those of
+    # the nested search, at every depth bound, and agree with the oracle
+    # whenever the bounded answer is definite.
+    rng = random.Random(67)
+    for _ in range(300):
+        s = random_structure(rng)
+        prog = random_program(rng, s, depth=1)
+        trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
+        t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
+        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=1 + T.antidomain_depth(t))
+        oracle = is_defined(prog, t, trace, cfg)
+        for max_depth in range(cfg.max_antidomain_depth + 1):
+            low = dataclasses.replace(cfg, max_antidomain_depth=max_depth)
+            direct, searched = Evaluator(prog, low), Evaluator(prog, low)
+            r = direct.exists(t, trace)
+            assert r == _nested_search(searched, t, trace, 1)
+            assert direct.nodes == searched.nodes
+            assert r is None or oracle is UNKNOWN or r == oracle
+
+
+def test_table_holds_no_inconclusive_answer():
+    # Runs that hit the length bound, the check depth bound or the node
+    # budget leave only definite answers in the table.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance
+
+    inst = make_mod2_instance(3, [(0, 1, 2, 1), (0, 1, 1, 0), (2, 2, 0, 1)])
+    prog = build_program(ProblemId.MOD2_LINEAR, inst.vocabulary)
+    full = SearchConfig.for_run(prog, inst)
+    for cfg in (
+        dataclasses.replace(full, max_trace_length=7),
+        dataclasses.replace(full, max_antidomain_depth=1),
+        dataclasses.replace(full, node_budget=150),
+    ):
+        ev = Evaluator(prog, cfg)
+        assert ev.run(inst).kind == "bound-exceeded"
+        assert ev._table and None not in ev._table.values()
+    rng = random.Random(61)
+    for _ in range(100):
+        s = random_structure(rng)
+        prog = random_program(rng, s, depth=4)
+        cfg = SearchConfig(
+            k=2,
+            max_trace_length=rng.randint(2, 4),
+            max_antidomain_depth=rng.randint(1, 3),
+            node_budget=rng.choice([None, 5, 20]),
+        )
+        ev = Evaluator(prog, cfg)
+        ev.run(s)
+        assert None not in ev._table.values()
+
+
+def test_st_conn_node_counts_are_exact():
+    # Every st-conn check is module-free, so none is tabled and node counts
+    # are those of the plain search.
+    from tracelang.problems import ProblemId, build_program, make_st_instance
+
+    n = 1200
+    order = list(range(n))
+    random.Random(1200).shuffle(order)
+    edges = list(zip(order, order[1:]))
+    for s, t, kind, nodes in ((order[0], order[-1], "yes", 2399), (order[1], order[0], "no", 2397)):
+        inst = make_st_instance(n, edges, s, t)
+        prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
+        ev = Evaluator(prog, SearchConfig.for_run(prog, inst))
+        verdict = ev.run(inst)
+        assert verdict.kind == kind and verdict.nodes == nodes
+        assert ev.exists_calls > 0 and ev.table_hits == 0 and not ev._table
+
+
+def test_footprint_of_a_term_that_touches_no_register():
+    # The parser rejects a module with no rules, so a searched check always
+    # reaches a module that writes a register.  The footprint is still
+    # defined on every core term: one that names no register keys on ().
+    s = structure_of(("a", "b"), registers=("P",))
+    with pytest.raises(TraceLangError):
+        _program("module Noop { }\nterm: ~Noop", s)
+    prog = guess_program(s)
+    ev = Evaluator(prog, _cfg(prog, s))
+    _, cur, past = ev._footprint(T.AntiDomain(T.Id()))
+    assert cur(Trace.initial(s).last.registers) == () and past is None
+
+
+def test_public_calls_restore_the_recursion_limit():
+    s = structure_of(("a", "b"), registers=("P",))
+    prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: GuessP ; BG(P != P)", s)
+    cfg = _cfg(prog, s)
+    bad_input = structure_of(("a",), {"E": {("a", "a")}}, registers=("P",))
+    bad = _program('module Pick { P(y) <~ E("zz", y) }\nterm: Pick', bad_input)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        verdict = run_main_task(prog, s, cfg)
+        assert sys.getrecursionlimit() == 1500
+        assert verify_witness(prog, s, verdict.witness, cfg)
+        assert sys.getrecursionlimit() == 1500
+        assert not verify_witness(prog, s, Witness(verdict.witness.choices * 2, 5), cfg)
+        assert sys.getrecursionlimit() == 1500
+        assert len(enumerate_witnesses(prog, s, cfg)) == 2
+        assert sys.getrecursionlimit() == 1500
+        assert eval_deltas(prog, prog.main, Trace.initial(s), cfg)[1]
+        assert sys.getrecursionlimit() == 1500
+        assert holds_antidomain(prog, prog.main, Trace.initial(s), cfg) is False
+        assert sys.getrecursionlimit() == 1500
+        with pytest.raises(TraceLangError):  # raised inside Evaluator.run
+            run_main_task(bad, bad_input)
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_default_bounds_of_a_deep_program_under_a_low_recursion_limit():
+    # Desugaring and the check-depth walk recurse once per sequence level;
+    # the default bounds are computed with the limit raised, and the
+    # caller's limit is given back.
+    s = structure_of(("a", "b"), registers=("P",))
+    prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: pow(id, 3000) ; GuessP", s)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        assert _cfg(prog, s).max_antidomain_depth == 1
+        assert sys.getrecursionlimit() == 1500
+        assert run_main_task(prog, s).kind == "yes"
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_length_bound_is_cut_and_k_must_be_nonnegative():
+    s = structure_of(("a", "b", "c"), registers=("P",))
+    prog = guess_program(s)
+    assert _cfg(prog, s, k=0).max_trace_length == 3
+    assert _cfg(prog, s, k=3).max_trace_length == 3**3 + 2
+    assert _cfg(prog, s, k=10**9).max_trace_length == 2**62 + 2
+    with pytest.raises(TraceLangError):
+        _cfg(prog, s, k=-1)

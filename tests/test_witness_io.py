@@ -33,3 +33,74 @@ def test_boolean_integer_fields_are_rejected(field):
         witness_from_json(json.dumps(doc))
     ok, reason = verify_witness_file(PROGRAM, STRUCTURE, json.dumps(doc))
     assert not ok and repr(field) in reason
+
+
+CHECKED = (
+    "module GuessP { P(x) <~ adom(x) }\n"
+    "term: pow(GuessP ; BG(P != P), 2) ; ~(GuessP ; BG(P != P))\n"
+)
+CHECKED_INPUT = "domain a b\nreg P\n"
+
+
+def _checked_certificate() -> dict:
+    structure = parse_structure(CHECKED_INPUT)
+    verdict = run_main_task(parse_program(CHECKED, structure.vocabulary), structure)
+    return json.loads(witness_to_json(verdict.witness, CHECKED, CHECKED_INPUT, 2))
+
+
+def test_huge_k_gives_the_answer_of_k_2():
+    # the length bound is cut long before the power would be built, and the
+    # anti-domain check at the end stays conclusive
+    doc = _checked_certificate()
+    mutant = json.loads(json.dumps(doc))
+    mutant["choices"][1]["assignment"]["P"] = mutant["choices"][0]["assignment"]["P"]
+    for case in (doc, mutant):
+        answers = set()
+        for k in (2, 10**9):
+            case["k"] = k
+            answers.add(verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(case)))
+        assert len(answers) == 1
+    assert verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(doc))[0]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_rejected(k):
+    doc = _checked_certificate()
+    doc["k"] = k
+    with pytest.raises(ParseError):
+        witness_from_json(json.dumps(doc))
+    ok, reason = verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(doc))
+    assert not ok and "k must be at least 1" in reason
+
+
+def test_replay_failures_say_where_and_why():
+    def reason(edit):
+        doc = _checked_certificate()
+        edit(doc)
+        ok, why = verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(doc))
+        assert not ok
+        return why
+
+    def stale(doc):
+        doc["choices"][1]["assignment"]["P"] = "zz"
+
+    def wrong_module(doc):
+        doc["choices"][1]["module"] = "Nope"
+
+    def longer(doc):
+        doc["final_length"] += 1
+
+    def repeated(doc):
+        doc["choices"][1]["assignment"]["P"] = doc["choices"][0]["assignment"]["P"]
+
+    assert reason(stale) == (
+        "replay failed at choice 1: choice P=zz is not in the answer set of GuessP"
+    )
+    assert reason(wrong_module) == (
+        "replay failed at choice 1: certificate names module Nope, derivation needs GuessP"
+    )
+    assert reason(longer) == (
+        "replay failed at choice 0: final_length does not match the number of choices"
+    )
+    # a failing test after a step: two choices were replayed before it
+    assert reason(repeated) == "replay failed at choice 2: history test BG(P != P) fails"
