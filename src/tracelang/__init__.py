@@ -29,14 +29,13 @@ from .structures import (
     BLANK,
     Structure,
     Vocabulary,
-    active_domain,
     parse_structure,
     permute_structure,
     serialize_structure,
     structures_equal,
 )
-from .cq import Atom, CQBody, Const, evaluate_unary_cq, free_and_bound_vars
-from .modules import Choice, ModuleDef, Rule, apply_choice, successor_choices, successors
+from .cq import Atom, CQBody, Const, evaluate_unary_cq
+from .modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
 from .terms import (
     AntiDomain,
     BackGlobal,
@@ -47,7 +46,6 @@ from .terms import (
     PrefUnion,
     Seq,
     desugar,
-    is_core,
     pretty,
 )
 from .parser import Program, parse_program, parse_term, validate_program

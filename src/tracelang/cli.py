@@ -2,11 +2,15 @@
 
 Exit codes are the scripting contract:
 
-* ``run``:    0 yes, 1 no, 2 bound-exceeded, 64 usage or parse errors
+* ``run``:    0 yes, 1 no, 2 bound-exceeded
 * ``verify``: 0 valid witness, 1 invalid (including hash mismatches)
 * ``equiv``:  0 equivalent, 1 not equivalent, 2 unknown under bounds
 * ``suite``:  0 iff every instance agreed with its oracle and no run hit
   a bound
+* every command: 64 usage or parse errors, 70 an internal error (any
+  exception that is not a ``TraceLangError``), reported on stderr by its
+  traceback and ``internal error: <type>: <message>``, so that a crash
+  never reads as a verdict
 
 ``--format json`` emits key-sorted JSON; with ``--no-timing`` the report is
 byte-identical across runs on identical inputs.  The environment variable
@@ -24,6 +28,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from typing import Optional
 
 from .engine import SearchConfig, Trace, run_main_task, witness_length
@@ -35,6 +40,7 @@ from .structures import parse_structure
 from .witness_io import verify_witness_file, witness_to_json
 
 USAGE_ERROR = 64
+INTERNAL_ERROR = 70
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -280,6 +286,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TraceLangError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as e:  # a crash must not exit with a verdict's code
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

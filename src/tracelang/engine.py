@@ -13,8 +13,10 @@ nested search.  A check that reaches a module opens a nested exhaustive
 search over a fresh choice of guesses, and its definite answers are tabled
 per evaluator on the term's footprint: the registers its modules and tests
 can read or write, the history of the registers its history tests look back
-on, the trace length and the check depth.  A check answered directly or from
-the table expands no node.
+on, the trace length and the check depth.  The footprint getters come from
+the program's compile step (``Program.footprint``), which also gives the
+default check depth, so a run walks no term to find them.  A check answered
+directly or from the table expands no node.
 
 A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     VocabularyMismatchError,
 )
 from .modules import Choice, apply_choice, successor_choices
-from .parser import Program, check_constants, validate_program
+from .parser import Program, check_constants
 from .structures import ADOM, Structure
 from . import terms as T
 
@@ -238,9 +239,7 @@ class SearchConfig:
             power = max(2, len(input_structure.domain)) ** min(k, 62)
             max_trace_length = min(power, _LENGTH_CAP) + 2
         if max_antidomain_depth is None:
-            # desugaring and the depth walk recurse once per sequence level
-            with _deep_stack():
-                max_antidomain_depth = max(1, T.antidomain_depth(program.core))
+            max_antidomain_depth = max(1, program.check_depth)
         return cls(k, max_trace_length, max_antidomain_depth, witness_limit, node_budget)
 
 
@@ -280,11 +279,6 @@ class _ReplayFail(Exception):
 
 # What ``Evaluator._test`` answers when only a search can decide a check.
 _SEARCH = object()
-
-
-def _no_registers(_registers) -> tuple:
-    """The footprint getter of a term that touches no register."""
-    return ()
 
 
 class _Chooser:
@@ -335,9 +329,6 @@ class Evaluator:
         self.nodes = 0
         self.exists_calls = 0
         self.table_hits = 0
-        # id(term) -> (term, cur getter, past getter), see ``_footprint``
-        self._footprints: dict[int, tuple] = {}
-        self._module_regs: dict[str, set[int]] = {}
         # Per input: successors depend only on the frontier letter, which
         # recurs a lot across branches of the search, and the table holds
         # the definite answers of module-bearing checks.
@@ -443,8 +434,9 @@ class Evaluator:
 
         The term is first evaluated directly on the trace, which decides it
         unless a module must be expanded.  Otherwise a definite answer (True,
-        or False from a complete search) is tabled on the term's footprint;
-        ``None`` is never stored.
+        or False from a complete search) is tabled on the term's footprint
+        from the program's compile step; ``None`` is never stored.  A term
+        from outside the program has no footprint and is searched untabled.
         """
         self.exists_calls += 1
         if depth > self.cfg.max_antidomain_depth:
@@ -454,84 +446,33 @@ class Evaluator:
             return r
         if trace.input is not self._input:
             self._bind(trace.input)
-        fp = self._footprints.get(id(term))
-        if fp is None:
-            fp = self._footprint(term)
-        _, cur, past = fp
-        # Registers outside the footprint stay unchanged and unread along
-        # every extension (milestone comparisons included), so the answer
-        # depends only on this key.
-        key = (
-            id(term),
-            cur(trace.last.registers),
-            past(trace.hist) if past is not None else None,
-            trace.length,
-            depth,
-        )
-        r = self._table.get(key)
-        if r is not None:
-            self.table_hits += 1
-            return r
+        fp = self.program.footprint.get(id(term))
+        key = None
+        if fp is not None:
+            cur, past = fp
+            # Registers outside the footprint stay unchanged and unread along
+            # every extension (milestone comparisons included), so the answer
+            # depends only on this key.
+            key = (
+                id(term),
+                cur(trace.last.registers),
+                past(trace.hist) if past is not None else None,
+                trace.length,
+                depth,
+            )
+            r = self._table.get(key)
+            if r is not None:
+                self.table_hits += 1
+                return r
         sub = _Scope()
         for _ in self.iter_extensions(term, trace, sub, depth):
             r = True
             break
         else:
             r = None if sub.hit else False
-        if r is not None:
+        if r is not None and key is not None:
             self._table[key] = r
         return r
-
-    def _footprint(self, term: T.Term) -> tuple:
-        """``(term, cur, past)``, computed once per term object with an
-        explicit stack.  ``cur`` gets every register that a module of the
-        term reads in a rule body or writes, and both sides of every equality
-        and history test; ``past`` gets the history of the past side of
-        every history test, or is None when there is none.  Holding the term
-        keeps its id unique while the table lives."""
-        rindex = self.program.vocabulary.register_index
-        cur: set[int] = set()
-        past: set[int] = set()
-        stack = [term]
-        # type tests, not class patterns: this walk runs once per checked
-        # term object, and the terms of a run are desugared afresh
-        while stack:
-            t = stack.pop()
-            cls = type(t)
-            if cls is T.Seq or cls is T.PrefUnion:
-                stack.append(t.left)
-                stack.append(t.right)
-            elif cls is T.AntiDomain or cls is T.MaxIterate:
-                stack.append(t.term)
-            elif cls is T.ModuleRef:
-                cur |= self._module_registers(t.name)
-            elif cls is T.EqTest:
-                cur.update(rindex[x] for x in (t.left, t.right) if x in rindex)
-            elif cls is T.BackGlobal:
-                cur.update(rindex[x] for x in (t.current, t.past) if x in rindex)
-                if t.past in rindex:
-                    past.add(rindex[t.past])
-        # a term that names no register, such as ``~id``, has an empty
-        # footprint, and ``itemgetter()`` needs at least one index
-        fp = (
-            term,
-            itemgetter(*sorted(cur)) if cur else _no_registers,
-            itemgetter(*sorted(past)) if past else None,
-        )
-        self._footprints[id(term)] = fp
-        return fp
-
-    def _module_registers(self, name: str) -> set[int]:
-        """Indexes of the registers that a module reads or writes."""
-        regs = self._module_regs.get(name)
-        if regs is None:
-            rindex = self.program.vocabulary.register_index
-            regs = set()
-            for rule in self.program.modules[name].rules:
-                regs.add(rindex[rule.head])
-                regs.update(rindex[a.symbol] for a in rule.body.atoms if a.symbol in rindex)
-            self._module_regs[name] = regs
-        return regs
 
     def _test(self, term: T.Term, trace: Trace, depth: int):
         """Evaluate ``term`` directly on ``trace`` as a three-valued test:
@@ -719,9 +660,11 @@ class Evaluator:
 
 
 def _check_input(program: Program, input_structure: Structure) -> None:
+    """The program was validated when it was built; only the constants
+    depend on the input's domain."""
     if input_structure.vocabulary != program.vocabulary:
         raise VocabularyMismatchError("input structure does not match the program vocabulary")
-    diags = validate_program(program) + check_constants(program, input_structure.domain)
+    diags = [*program.diagnostics, *check_constants(program, input_structure.domain)]
     if diags:
         raise UnknownSymbolError(f"program is not valid: {diags[0]}")
 
@@ -734,16 +677,16 @@ def eval_deltas(
 ) -> tuple[list[Trace], bool]:
     """All bounded extensions of ``trace`` on which ``term`` succeeds, plus a
     flag telling whether the enumeration is complete (no bound was hit)."""
-    with _deep_stack():
-        core = T.desugar(term)
-    return Evaluator(program, cfg).extensions(core, trace)
+    compiled = replace(program, main=term)
+    return Evaluator(compiled, cfg).extensions(compiled.core, trace)
 
 
 def holds_antidomain(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Three-valued anti-domain test: True iff no bounded extension lets
     ``term`` succeed; None when the bounded search is inconclusive."""
+    compiled = replace(program, main=term)
     with _deep_stack():
-        r = Evaluator(program, cfg).exists(T.desugar(term), trace)
+        r = Evaluator(compiled, cfg).exists(compiled.core, trace)
     if r is None:
         return None
     return not r

@@ -102,8 +102,3 @@ def apply_choice(s: Structure, c: Choice, module: ModuleDef | None = None) -> St
     for reg, value in c.assignment:
         registers[rindex[reg]] = value
     return s.with_registers(tuple(registers))
-
-
-def successors(m: ModuleDef, s: Structure) -> tuple[Structure, ...]:
-    """All one-step successors of ``s`` under ``m`` (empty iff undefined)."""
-    return tuple(apply_choice(s, c) for c in successor_choices(m, s))

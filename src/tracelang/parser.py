@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cq import Atom, CQBody, Const
@@ -99,16 +100,30 @@ class Diagnostic:
         return f"{self.code}: {self.message}{where}"
 
 
+_COMPILED = dict(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Program:
+    """A program over one vocabulary, compiled once when it is built:
+    ``core`` is the term the engine runs, ``check_depth`` the nesting depth
+    of the universal checks a search of it can open, ``footprint`` maps the
+    ids of the core and of each subterm it checks to their footprint
+    getters (the program holds the core, so the ids stay unique), and
+    ``diagnostics`` are what :func:`validate_program` reports."""
+
     vocabulary: Vocabulary
     modules: dict[str, ModuleDef]
     main: T.Term
     source: str = field(default="", compare=False)
+    core: T.Term = field(**_COMPILED)
+    check_depth: int = field(**_COMPILED)
+    footprint: dict = field(**_COMPILED)
+    diagnostics: tuple = field(**_COMPILED)
 
-    @property
-    def core(self) -> T.Term:
-        return T.desugar(self.main)
+    def __post_init__(self):
+        for name, value in zip(("core", "check_depth", "footprint", "diagnostics"), _compile(self)):
+            object.__setattr__(self, name, value)
 
 
 class _Parser:
@@ -377,9 +392,108 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
 
 def validate_program(program: Program) -> list[Diagnostic]:
     """All well-formedness diagnostics for a program; empty iff valid."""
+    return list(program.diagnostics)
+
+
+def _getter(mask: int):
+    """The getter of the registers whose bits are set in ``mask``; with
+    none, ``registers[0:0]``, which is ``()``."""
+    indexes = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return itemgetter(*indexes) if indexes else itemgetter(slice(0, 0))
+
+
+def _compile(program: Program) -> tuple:
+    """``(core, check_depth, footprint, diagnostics)``, see :class:`Program`.
+
+    The core is ``main`` desugared, with one law applied: a test sequenced
+    with itself is that test, ``p ; p -> p`` (Desharnais, Moeller & Struth,
+    *Kleene algebra with domain*, ACM TOCL 2006).  A test (``id``, ``==``,
+    ``BG``, ``~t``, or ``;``, ``<+`` or ``^`` over tests) keeps the trace or
+    fails, and answers a second time as it did the first, so the law changes
+    no search order, witness or node count.  It folds one shared object, as
+    in a ``pow`` of a test, never two equal copies, whose checks the exists
+    table keys apart.  It lives here and not in ``desugar``, so that the lab
+    evaluates the plain expansion and stays an independent oracle.
+
+    The core is walked once, with an explicit stack, once per shared node,
+    for its check depth (``~``, ``^`` and the left arm of ``<+`` open one
+    more level), the registers its modules read in a rule body or write and
+    its tests name, and the past sides of its history tests.  The core and
+    each subterm a search checks (the body of ``~`` and ``^``, the left arm
+    of ``<+``) get the getters of those registers and of that history, which
+    key the exists table.
+    """
+    vocab, modules = program.vocabulary, program.modules
+    bit = {x: 1 << i for x, i in vocab.register_index.items()}
+    module_regs = {}
+    for name, mod in modules.items():
+        regs = 0
+        for rule in mod.rules:
+            regs |= bit.get(rule.head, 0)
+            for atom in rule.body.atoms:
+                regs |= bit.get(atom.symbol, 0)
+        module_regs[name] = regs
+    names: set[str] = set()
+    symbols: set[str] = set()
+    checked: dict[int, tuple] = {}
+    # id(node) -> (compiled node, is a test, check depth, registers, past);
+    # a node whose parts are not done yet goes back on the stack under them
+    done: dict[int, tuple] = {}
+    root = T.desugar(program.main)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        cls = type(node)
+        if cls is T.Seq or cls is T.PrefUnion:
+            left, right = node.left, node.right
+            a, b = done.get(id(left)), done.get(id(right))
+            if a is None or b is None:
+                stack += (node, right, left)
+                continue
+            t = node if a[0] is left and b[0] is right else cls(a[0], b[0])
+            if cls is T.PrefUnion:
+                checked[id(a[0])] = a
+                info = (t, a[1] and b[1], max(1 + a[2], b[2]), a[3] | b[3], a[4] | b[4])
+            elif a[0] is b[0] and a[1]:
+                info = a
+            else:
+                info = (t, a[1] and b[1], max(a[2], b[2]), a[3] | b[3], a[4] | b[4])
+        elif cls is T.AntiDomain or cls is T.MaxIterate:
+            a = done.get(id(node.term))
+            if a is None:
+                stack += (node, node.term)
+                continue
+            checked[id(a[0])] = a
+            t = node if a[0] is node.term else cls(a[0])
+            info = (t, cls is T.AntiDomain or a[1], 1 + a[2], a[3], a[4])
+        elif cls is T.ModuleRef:
+            names.add(node.name)
+            info = (node, False, 0, module_regs.get(node.name, 0), 0)
+        elif cls is T.EqTest:
+            symbols.update((node.left, node.right))
+            info = (node, True, 0, bit.get(node.left, 0) | bit.get(node.right, 0), 0)
+        elif cls is T.BackGlobal:
+            symbols.update((node.current, node.past))
+            past = bit.get(node.past, 0)
+            info = (node, True, 0, bit.get(node.current, 0) | past, past)
+        elif cls is T.Id:
+            info = (node, True, 0, 0, 0)
+        else:
+            raise TypeError(f"term is not in core form: {node!r}")
+        done[id(node)] = info
+    top = done[id(root)]
+    checked[id(top[0])] = top
+    masks = {mask for *_, regs, past in checked.values() for mask in (regs, past)}
+    getters = {mask: _getter(mask) for mask in masks}
+    footprint = {
+        key: (getters[regs], getters[past] if past else None)
+        for key, (_, _, _, regs, past) in checked.items()
+    }
+
     diags: list[Diagnostic] = []
-    vocab = program.vocabulary
-    for mod in program.modules.values():
+    for mod in modules.values():
         heads = set()
         for rule in mod.rules:
             if rule.head in heads:
@@ -414,15 +528,14 @@ def validate_program(program: Program) -> list[Diagnostic]:
                             rule.line,
                         )
                     )
-    for name in sorted(T.module_names(program.main)):
-        if name not in program.modules:
-            diags.append(Diagnostic("UnknownModule", f"term references undefined module {name}"))
-    for sym in sorted(T.test_symbols(program.main)):
+    for name in sorted(names - modules.keys()):
+        diags.append(Diagnostic("UnknownModule", f"term references undefined module {name}"))
+    for sym in sorted(symbols):
         if not vocab.is_declared(sym):
             diags.append(Diagnostic("UnknownSymbol", f"test names undeclared symbol {sym}"))
         elif not vocab.is_unary(sym):
             diags.append(Diagnostic("NonUnarySymbolInTest", f"test names non-unary symbol {sym}"))
-    return diags
+    return top[0], top[2], footprint, tuple(diags)
 
 
 def check_constants(program: Program, domain: tuple[str, ...]) -> list[Diagnostic]:

@@ -219,11 +219,6 @@ def blank_registers(vocabulary: Vocabulary) -> tuple[Optional[str], ...]:
     return (None,) * len(vocabulary.register_symbols)
 
 
-def active_domain(s: Structure) -> frozenset[str]:
-    """Interpretation of the built-in ``adom`` predicate: the declared domain."""
-    return frozenset(s.domain)
-
-
 def structures_equal(a: Structure, b: Structure) -> bool:
     """True iff domains, EDB tables and register valuations all coincide."""
     if a.vocabulary != b.vocabulary:

@@ -140,34 +140,20 @@ class Pow(Term):
     n: int
 
 
-def is_core(t: Term) -> bool:
-    match t:
-        case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
-            return True
-        case AntiDomain(u) | MaxIterate(u):
-            return is_core(u)
-        case Seq(a, b) | PrefUnion(a, b):
-            return is_core(a) and is_core(b)
-        case _:
-            return False
-
-
 def desugar(t: Term) -> Term:
     """Rewrite surface constructs into the eight core constructors.
 
-    Idempotent on core-shaped input.
+    A core-shaped (sub)term is returned as it is, the same object.
     """
     match t:
         case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
             return t
-        case AntiDomain(u):
-            return AntiDomain(desugar(u))
-        case Seq(a, b):
-            return Seq(desugar(a), desugar(b))
-        case PrefUnion(a, b):
-            return PrefUnion(desugar(a), desugar(b))
-        case MaxIterate(u):
-            return MaxIterate(desugar(u))
+        case AntiDomain(u) | MaxIterate(u):
+            d = desugar(u)
+            return t if d is u else type(t)(d)
+        case Seq(a, b) | PrefUnion(a, b):
+            da, db = desugar(a), desugar(b)
+            return t if da is a and db is b else type(t)(da, db)
         case Skip():
             return Id()
         case Fail():
@@ -201,63 +187,18 @@ def desugar(t: Term) -> Term:
                 raise ValueError("pow exponent must be nonnegative")
             if n == 0:
                 return Id()
-            core = desugar(u)
-            out = core
-            for _ in range(n - 1):
-                out = Seq(out, core)
-            return out
+            # binary powers that share their halves: at most 2*log2(n) Seq
+            # nodes; ``;`` is associative, so the steps run in the same order
+            power, out = desugar(u), None
+            while True:
+                if n & 1:
+                    out = power if out is None else Seq(out, power)
+                n >>= 1
+                if not n:
+                    return out
+                power = Seq(power, power)
         case _:
             raise TypeError(f"not a term: {t!r}")
-
-
-def antidomain_depth(t: Term) -> int:
-    """Static nesting depth of universal checks a search of ``t`` can open.
-
-    Anti-domain opens one nested search, preferential union opens one for its
-    left arm, and certificate replay opens one per maximum-iterate exit check.
-    """
-    match t:
-        case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
-            return 0
-        case AntiDomain(u):
-            return 1 + antidomain_depth(u)
-        case MaxIterate(u):
-            return 1 + antidomain_depth(u)
-        case Seq(a, b):
-            return max(antidomain_depth(a), antidomain_depth(b))
-        case PrefUnion(a, b):
-            return max(1 + antidomain_depth(a), antidomain_depth(b))
-        case _:
-            return antidomain_depth(desugar(t))
-
-
-def module_names(t: Term) -> frozenset[str]:
-    match t:
-        case ModuleRef(name):
-            return frozenset((name,))
-        case AntiDomain(u) | MaxIterate(u) | Test(u) | Dom(u) | Not(u) | Pow(u, _):
-            return module_names(u)
-        case Seq(a, b) | PrefUnion(a, b) | And(a, b) | Or(a, b) | Dia(a, b) | While(a, b) | Repeat(a, b):
-            return module_names(a) | module_names(b)
-        case If(c, a, b):
-            return module_names(c) | module_names(a) | module_names(b)
-        case _:
-            return frozenset()
-
-
-def test_symbols(t: Term) -> frozenset[str]:
-    """All symbols named by equality or back-globally tests in ``t``."""
-    match t:
-        case EqTest(p, q) | BackGlobal(p, q):
-            return frozenset((p, q))
-        case AntiDomain(u) | MaxIterate(u) | Test(u) | Dom(u) | Not(u) | Pow(u, _):
-            return test_symbols(u)
-        case Seq(a, b) | PrefUnion(a, b) | And(a, b) | Or(a, b) | Dia(a, b) | While(a, b) | Repeat(a, b):
-            return test_symbols(a) | test_symbols(b)
-        case If(c, a, b):
-            return test_symbols(c) | test_symbols(a) | test_symbols(b)
-        case _:
-            return frozenset()
 
 
 # --- pretty printing --------------------------------------------------------

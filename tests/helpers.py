@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 from tracelang.cq import Atom, CQBody, Const
 from tracelang.modules import ModuleDef, Rule
@@ -143,20 +144,27 @@ def random_program(rng: random.Random, structure: Structure, depth: int = 4) -> 
     return Program(structure.vocabulary, modules, main)
 
 
-def random_surface_term(rng: random.Random, depth: int) -> T.Term:
-    """Random surface AST (sugar included) for pretty/parse round trips."""
+def random_surface_term(
+    rng: random.Random,
+    depth: int,
+    modules: Sequence[str] = ("Alpha", "Beta"),
+    symbols: Sequence[str] = ("P", "Q"),
+    max_pow: int = 3,
+) -> T.Term:
+    """Random surface AST (sugar included); its tests compare ``symbols``."""
     if depth <= 0 or rng.random() < 0.3:
+        p, q = rng.choice(symbols), rng.choice(symbols)
         return rng.choice(
             [
                 T.Id(),
                 T.Skip(),
                 T.Fail(),
-                T.ModuleRef(rng.choice(["Alpha", "Beta"])),
-                T.EqTest("P", "Q"),
-                T.BackGlobal("P", "Q"),
+                T.ModuleRef(rng.choice(modules)),
+                T.EqTest(p, q),
+                T.BackGlobal(p, q),
             ]
         )
-    sub = lambda: random_surface_term(rng, depth - 1)  # noqa: E731
+    sub = lambda: random_surface_term(rng, depth - 1, modules, symbols, max_pow)  # noqa: E731
     return rng.choice(
         [
             lambda: T.Seq(sub(), sub()),
@@ -169,7 +177,7 @@ def random_surface_term(rng: random.Random, depth: int) -> T.Term:
             lambda: T.Test(sub()),
             lambda: T.Dom(sub()),
             lambda: T.Dia(sub(), sub()),
-            lambda: T.Pow(sub(), rng.randint(0, 3)),
+            lambda: T.Pow(sub(), rng.randint(0, max_pow)),
             lambda: T.If(sub(), sub(), sub()),
             lambda: T.While(sub(), sub()),
             lambda: T.Repeat(sub(), sub()),

@@ -26,7 +26,7 @@ from tracelang.engine import (
     witness_length,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
-from tracelang.parser import parse_program
+from tracelang.parser import Program, parse_program
 from tracelang.problems import (
     ProblemId,
     build_instance,
@@ -381,7 +381,7 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         s = random_structure(rng, max_domain=3)
         prog = random_program(rng, s, depth=2)
         t = random_core_term(rng, sorted(prog.modules), rng.randint(0, 2))
-        depth_needed = 3 + T.antidomain_depth(t)
+        depth_needed = 3 + Program(prog.vocabulary, prog.modules, t).check_depth
         cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=depth_needed + 2)
         ev = Evaluator(prog, cfg)
         # build a random base trace by a few module steps

@@ -164,3 +164,42 @@ def test_node_budget_env(even_files, monkeypatch, capsys):
     monkeypatch.setenv("PROMISE_MAX_NODES", "2")
     assert main(["run", "--program", even_files["program"], "--structure", even_files[4]]) == 2
     monkeypatch.delenv("PROMISE_MAX_NODES")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "equiv", "suite"])
+def test_an_internal_error_exits_70_in_every_command(command, even_files, tmp_path, monkeypatch, capsys):
+    # A crash must not exit with a verdict's code (1 reads as no, invalid
+    # or not equivalent).
+    import tracelang.cli as cli
+    import tracelang.witness_io as witness_io
+
+    files = ["--program", even_files["program"], "--structure", even_files[4]]
+    witness = tmp_path / "w.json"
+    assert main(["run", *files, "--witness", str(witness)]) == 0
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    target, argv = {
+        "run": ((cli, "run_main_task"), ["run", *files]),
+        "verify": ((witness_io, "replay_failure"), ["verify", *files, "--witness", str(witness)]),
+        "equiv": ((cli, "strongly_equivalent"), ["equiv", *files, "--left", "id", "--right", "id"]),
+        "suite": ((cli, "run_main_task"), ["suite", "--problem", "even", "--n-range", "1..2"]),
+    }[command]
+    monkeypatch.setattr(*target, boom)
+    capsys.readouterr()
+    assert main(argv) == 70
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("left", ["pow(P == P, 3000) ; GuessP", "pow(dom(GuessP), 3000) ; GuessP"])
+def test_equiv_decides_a_deep_pow(left, tmp_path, capsys):
+    # pow(t, n) shares its halves, so the lab's structural recursion goes
+    # O(log n) deep instead of n.
+    program = tmp_path / "guess.program"
+    program.write_text("module GuessP { P(x) <~ adom(x) }\nterm: GuessP\n")
+    structure = tmp_path / "abc.structure"
+    structure.write_text("domain a b c\nreg P\n")
+    argv = ["equiv", "--program", str(program), "--structure", str(structure)]
+    assert main(argv + ["--left", left, "--right", "GuessP"]) == 0
+    assert capsys.readouterr().out.startswith("True ")

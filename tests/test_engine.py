@@ -514,7 +514,6 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
             )
         ]
         modules = {f"M{i}": _random_one_rule_module(rng, f"M{i}") for i in range(4)}
-        prog = Program(inputs[0].vocabulary, modules, T.Id())
         cfg = SearchConfig(
             k=2, max_trace_length=rng.randint(4, 6), max_antidomain_depth=rng.randint(1, 3)
         )
@@ -524,6 +523,13 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
             t = random_core_term(rng, names, rng.randint(1, 3))
             # a leading module step sends the whole check to the table
             terms.append(T.Seq(T.ModuleRef(names[0]), t) if rng.random() < 0.7 else t)
+        # the table keys on footprints compiled with the program: each term
+        # is a checked subterm of its core, kept as the same object
+        main = T.Id()
+        for t in terms:
+            main = T.Seq(main, T.AntiDomain(t))
+        prog = Program(inputs[0].vocabulary, modules, main)
+        assert all(id(t) in prog.footprint for t in terms)
         values = (None, "a", "b")
         base = [tuple(rng.choice(values) for _ in range(3)) for _ in range(rng.randint(1, 2))]
         variants = [base]
@@ -582,7 +588,7 @@ def test_module_free_checks_match_the_oracle_and_the_nested_search():
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
         t = _random_test_term(rng, rng.randint(1, 4))
-        ample = 1 + T.antidomain_depth(t)
+        ample = 1 + Program(prog.vocabulary, prog.modules, t).check_depth
         cfg = SearchConfig(k=2, max_trace_length=8, max_antidomain_depth=ample)
         ev = Evaluator(prog, cfg)
         assert ev.exists(t, trace) == is_defined(prog, t, trace, cfg)
@@ -605,7 +611,8 @@ def test_exists_matches_the_nested_search_on_terms_with_modules():
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=1 + T.antidomain_depth(t))
+        depth = Program(prog.vocabulary, prog.modules, t).check_depth
+        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=1 + depth)
         oracle = is_defined(prog, t, trace, cfg)
         for max_depth in range(cfg.max_antidomain_depth + 1):
             low = dataclasses.replace(cfg, max_antidomain_depth=max_depth)
@@ -668,13 +675,12 @@ def test_st_conn_node_counts_are_exact():
 def test_footprint_of_a_term_that_touches_no_register():
     # The parser rejects a module with no rules, so a searched check always
     # reaches a module that writes a register.  The footprint is still
-    # defined on every core term: one that names no register keys on ().
+    # stored for every checked term: one that names no register keys on ().
     s = structure_of(("a", "b"), registers=("P",))
     with pytest.raises(TraceLangError):
         _program("module Noop { }\nterm: ~Noop", s)
-    prog = guess_program(s)
-    ev = Evaluator(prog, _cfg(prog, s))
-    _, cur, past = ev._footprint(T.AntiDomain(T.Id()))
+    prog = Program(s.vocabulary, guess_program(s).modules, T.AntiDomain(T.Id()))
+    cur, past = prog.footprint[id(prog.core.term)]
     assert cur(Trace.initial(s).last.registers) == () and past is None
 
 
@@ -731,3 +737,14 @@ def test_length_bound_is_cut_and_k_must_be_nonnegative():
     assert _cfg(prog, s, k=10**9).max_trace_length == 2**62 + 2
     with pytest.raises(TraceLangError):
         _cfg(prog, s, k=-1)
+
+
+def test_a_deep_pow_of_a_test_decides_in_one_step():
+    # pow(S == S, 30000) shares its halves and the compile step folds each
+    # test sequenced with itself, so the core is S == S ; Start.
+    s = structure_of(("a", "b"), {"S": {("a",)}}, registers=("Reach",))
+    prog = _program("module Start { Reach(x) <~ S(x) }\nterm: pow(S == S, 30000) ; Start", s)
+    assert prog.core == T.Seq(T.EqTest("S", "S"), T.ModuleRef("Start"))
+    verdict = run_main_task(prog, s)
+    assert verdict.kind == "yes" and verdict.nodes == 1
+    assert verdict.witness.choices == (Choice("Start", (("Reach", "a"),)),)

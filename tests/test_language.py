@@ -1,14 +1,23 @@
 import random
+import time
 
 import pytest
 
 from tracelang import terms as T
-from tracelang.errors import NonUnarySymbolError, ParseError, UnknownModuleError
-from tracelang.parser import parse_program, parse_term, validate_program
+from tracelang.engine import Evaluator, SearchConfig, Trace, run_main_task
+from tracelang.errors import NonUnarySymbolError, ParseError, UnknownModuleError, UnknownSymbolError
+from tracelang.lab import UNKNOWN, denotational_deltas
+from tracelang.parser import Program, parse_program, parse_term, validate_program
 from tracelang.structures import Vocabulary
-from tracelang.terms import desugar, is_core, pretty
+from tracelang.terms import desugar, pretty
 
-from helpers import random_core_term, random_surface_term
+from helpers import (
+    random_core_term,
+    random_modules,
+    random_structure,
+    random_surface_term,
+    structure_of,
+)
 
 
 VOCAB = Vocabulary((("T", 2), ("U", 1)), ("P", "Q", "Reach"), 3)
@@ -67,10 +76,14 @@ def test_desugar_repeat():
 
 
 def test_desugar_pow():
+    # binary powers that share their halves, not n - 1 chained copies
     g = T.ModuleRef("G")
     assert desugar(T.Pow(g, 0)) == T.Id()
     assert desugar(T.Pow(g, 1)) == g
-    assert desugar(T.Pow(g, 4)) == T.Seq(T.Seq(T.Seq(g, g), g), g)
+    x = T.Seq(g, g)
+    four = desugar(T.Pow(g, 4))
+    assert four == T.Seq(x, x)
+    assert four.left is four.right and four.left.left is four.left.right
 
 
 def test_desugar_basics():
@@ -93,12 +106,23 @@ def test_test_and_dom_desugar_identically():
     assert desugar(T.Test(inner)) == desugar(T.Dom(inner))
 
 
+def _distinct_nodes(term: T.Term) -> list[T.Term]:
+    seen: dict[int, T.Term] = {}
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(v for v in vars(node).values() if isinstance(v, T.Term))
+    return list(seen.values())
+
+
 def test_desugar_idempotent_on_core_terms():
     rng = random.Random(31)
     for _ in range(200):
         t = random_core_term(rng, ["M0", "M1"], rng.randint(0, 4))
         core = desugar(t)
-        assert is_core(core)
+        assert all(isinstance(node, T.CORE_TYPES) for node in _distinct_nodes(core))
         assert desugar(core) == core
 
 
@@ -147,3 +171,45 @@ term: A ;
 """
     program = parse_program(text, VOCAB)
     assert program.main == T.Seq(T.ModuleRef("A"), T.PrefUnion(T.ModuleRef("A"), T.Id()))
+
+
+def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
+    # The engine runs the compiled core, where a test sequenced with itself
+    # is folded; the lab evaluates the plain desugaring.  Their extension
+    # sets and completeness agree (as in acceptance criterion 7).
+    rng = random.Random(4343)
+    compared = folded = 0
+    for _ in range(400):
+        s = random_structure(rng, max_domain=2)
+        modules = random_modules(rng)
+        main = random_surface_term(rng, rng.randint(2, 4), sorted(modules), ("P", "Q", "U"), max_pow=6)
+        prog = Program(s.vocabulary, modules, main)
+        assert validate_program(prog) == []
+        folded += prog.core != desugar(prog.main)
+        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=16)
+        base = Trace.initial(s)
+        deno = denotational_deltas(prog, prog.main, base, cfg)
+        found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
+        assert complete == (deno is not UNKNOWN)
+        if complete:
+            compared += 1
+            assert {t.key() for t in found} == {t.key() for t in deno.extensions}
+    assert compared >= 300 and folded >= 25, (compared, folded)
+
+
+def test_a_huge_pow_compiles_to_a_log_size_core():
+    start = time.perf_counter()
+    program = parse_program("module M { P(x) <~ adom(x) }\nterm: pow(M, 1000000000)", VOCAB)
+    elapsed = time.perf_counter() - start
+    # 29 squarings, one Seq per further set bit of 10**9, and the module
+    nodes = len(_distinct_nodes(program.core))
+    assert nodes <= 2 * 30 + 1, nodes
+    assert elapsed < 0.5 and program.check_depth == 0
+
+
+def test_an_invalid_program_built_directly_fails_its_run():
+    s = structure_of(("a",), registers=("P", "Q", "Reach"), arities={"T": 2, "U": 1})
+    prog = Program(s.vocabulary, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
+    assert [d.code for d in validate_program(prog)] == ["UnknownModule", "NonUnarySymbolInTest"]
+    with pytest.raises(UnknownSymbolError):
+        run_main_task(prog, s)

@@ -11,7 +11,6 @@ from tracelang.errors import (
     UnknownSymbolError,
 )
 from tracelang.structures import (
-    active_domain,
     parse_structure,
     permute_structure,
     serialize_structure,
@@ -77,18 +76,6 @@ def test_serialize_deterministic_for_equal_structures():
     s2 = structure_of(("a", "b"), {"E": {("b", "a"), ("a", "b")}}, registers=("P",))
     assert structures_equal(s1, s2)
     assert serialize_structure(s1) == serialize_structure(s2)
-
-
-def test_active_domain_is_declared_domain():
-    s = structure_of(("a", "b", "c"))
-    assert active_domain(s) == {"a", "b", "c"}
-    assert active_domain(structure_of(("a",))) == {"a"}
-
-
-def test_active_domain_invariant_under_register_change():
-    s = structure_of(("a", "b"), registers=("P",))
-    s2 = s.with_registers(("a",))
-    assert active_domain(s) == active_domain(s2)
 
 
 def test_permute_identity_and_swap():
