@@ -7,6 +7,10 @@ does any extension of the trace let the checked term succeed?  They are
 three-valued under the configured bounds, and any inconclusive check turns a
 would-be "no" into "bound-exceeded", never into a wrong answer.
 
+The search is one loop over an explicit stack, so its Python stack grows
+only with the nesting of universal checks, which the compile step bounds
+(``parser.MAX_NESTING``): the engine runs at the caller's recursion limit.
+
 A check is first evaluated directly on the trace, as a test that keeps the
 trace or fails; a term with no module in it is always decided so, with no
 nested search.  A check that reaches a module opens a nested exhaustive
@@ -26,8 +30,6 @@ needs no backtracking.
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -273,6 +275,25 @@ class _Scope:
         self.hit = False
 
 
+class _Unfold:
+    """An unfolding point of a maximum iterate: the scope of the body's
+    search from here, and the exit entry pushed under the body's steps.
+    ``seen`` holds the milestones of the current unfolding path, ``key``
+    the one this point added; ``k`` and ``scope`` are the iterate's."""
+
+    __slots__ = ("body", "k", "scope", "seen", "key", "hit", "stepped")
+
+    def __init__(self, body: T.Term, k, scope, seen: set, key: tuple):
+        self.body, self.k, self.scope, self.seen, self.key = body, k, scope, seen, key
+        self.hit = self.stepped = False
+
+
+# The continuation of an iterate's body: unfold again from where it ended,
+# under the unfolding point that is the current scope.
+_AGAIN = object()
+_AGAIN_K = (_AGAIN, None)
+
+
 class _ReplayFail(Exception):
     pass
 
@@ -298,25 +319,10 @@ class _Chooser:
         return self.pos == len(self.choices)
 
 
-# Search nests one generator per sequence level and per iterate unfolding.
-_RECURSION_LIMIT = 20000
-
-
-@contextmanager
-def _deep_stack():
-    """Raise the interpreter's recursion limit for one public call and give
-    the caller's limit back afterwards, also when the call raises."""
-    old = sys.getrecursionlimit()
-    if old < _RECURSION_LIMIT:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 class Evaluator:
     """Evaluates core terms of one program under one bound configuration.
+    Search, checks and replay each add a few Python frames per nested
+    universal check and none per sequence step, iterate unfolding or letter.
 
     ``nodes`` counts module steps actually expanded.  ``exists_calls``
     counts universal checks and ``table_hits`` those answered from the
@@ -359,74 +365,80 @@ class Evaluator:
     def iter_extensions(self, term: T.Term, trace: Trace, scope: _Scope, depth: int = 0) -> Iterator[Trace]:
         """Yield every bounded extension of ``trace`` on which ``term``
         succeeds under some sequence of guesses; set ``scope.hit`` when the
-        enumeration is incomplete because a bound was reached."""
-        match term:
-            case T.Id():
-                yield trace
-            case T.ModuleRef(name):
-                if len(trace) + 1 > self.cfg.max_trace_length:
-                    scope.hit = True
-                    return
-                for letter, choice in self._successors(name, trace.last):
-                    if self.cfg.node_budget is not None and self.nodes >= self.cfg.node_budget:
-                        scope.hit = True
-                        return
-                    self.nodes += 1
-                    yield trace.extend(letter, choice)
-            case T.Seq(a, b):
-                for u in self.iter_extensions(a, trace, scope, depth):
-                    yield from self.iter_extensions(b, u, scope, depth)
-            case T.AntiDomain(a):
-                r = self.exists(a, trace, depth + 1)
-                if r is False:
-                    yield trace
-                elif r is None:
-                    scope.hit = True
-            case T.PrefUnion(a, b):
-                r = self.exists(a, trace, depth + 1)
-                if r is True:
-                    yield from self.iter_extensions(a, trace, scope, depth)
-                elif r is False:
-                    yield from self.iter_extensions(b, trace, scope, depth)
-                else:
-                    scope.hit = True
-            case T.MaxIterate(a):
-                yield from self._iterate(a, trace, {trace.last.registers}, scope, depth)
-            case T.EqTest(p, q):
-                if check_eq(p, q, trace):
-                    yield trace
-            case T.BackGlobal(p, q):
-                if check_bg(p, q, trace):
-                    yield trace
-            case _:
-                raise TypeError(f"term is not in core form: {term!r}")
+        enumeration is incomplete because a bound was reached.
 
-    def _iterate(
-        self, body: T.Term, trace: Trace, seen: set, scope: _Scope, depth: int
-    ) -> Iterator[Trace]:
-        # Unfold the body while it can make a step; exit exactly when it is
-        # (provably) undefined at the frontier.  Unfoldings that revisit a
-        # milestone valuation are rejected outright, which both enforces the
-        # no-loop rule and makes the unfolding space finite.  ``seen`` holds
-        # the milestones of the current unfolding path: one set per iterate,
-        # each key added before recursing and discarded after, also when the
-        # consumer closes the generator early.
-        sub = _Scope()
-        any_step = False
-        for u in self.iter_extensions(body, trace, sub, depth):
-            any_step = True
-            key = u.last.registers
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                yield from self._iterate(body, u, seen, scope, depth)
-            finally:
-                seen.discard(key)
-        if sub.hit:
-            scope.hit = True
-        if not any_step and not sub.hit:
-            yield trace
+        Depth first, from one explicit stack of ``(node, trace,
+        continuation, scope)`` entries; a continuation is ``None`` or a
+        linked ``(node, rest)`` pair.  The Python stack grows only with the
+        nesting of universal checks, not with sequence chains or traces."""
+        max_length, budget = self.cfg.max_trace_length, self.cfg.node_budget
+        stack = [(term, trace, None, scope)]
+        while stack:
+            node, trace, k, scope = stack.pop()
+            while True:  # evaluate ``node`` on ``trace``; break to backtrack
+                cls = type(node)
+                if cls is T.Seq:
+                    node, k = node.left, (node.right, k)
+                    continue
+                if cls is tuple:  # a successor ``(letter, choice)``
+                    if budget is not None and self.nodes >= budget:
+                        scope.hit = True
+                        break
+                    self.nodes += 1
+                    trace = trace.extend(*node)
+                elif cls is T.ModuleRef:
+                    if trace.length >= max_length:
+                        scope.hit = True
+                        break
+                    # counted and budget-checked only when popped
+                    succ = self._successors(node.name, trace.last)
+                    stack += [(s, trace, k, scope) for s in reversed(succ)]
+                    break
+                elif cls is T.BackGlobal:
+                    if not check_bg(node.current, node.past, trace):
+                        break
+                elif cls is T.AntiDomain:
+                    r = self.exists(node.term, trace, depth + 1)
+                    if r is not False:
+                        if r is None:
+                            scope.hit = True
+                        break
+                elif cls is T.EqTest:
+                    if not check_eq(node.left, node.right, trace):
+                        break
+                elif cls is T.PrefUnion:
+                    r = self.exists(node.left, trace, depth + 1)
+                    if r is None:
+                        scope.hit = True
+                        break
+                    node = node.left if r else node.right
+                    continue
+                elif node is _AGAIN or cls is T.MaxIterate:
+                    key = trace.last.registers
+                    if node is _AGAIN:  # the body of ``scope`` made a step
+                        scope.stepped = True
+                        if key in scope.seen:
+                            break
+                        scope.seen.add(key)
+                        nxt = _Unfold(scope.body, scope.k, scope.scope, scope.seen, key)
+                    else:
+                        nxt = _Unfold(node.term, k, scope, {key}, key)
+                    stack.append((nxt, trace, nxt.k, nxt.scope))
+                    node, k, scope = nxt.body, _AGAIN_K, nxt
+                    continue
+                elif cls is _Unfold:  # every step of its body is explored
+                    node.seen.discard(node.key)
+                    if node.hit:
+                        scope.hit = True
+                    if node.hit or node.stepped:  # else the iterate exits here
+                        break
+                elif cls is not T.Id:
+                    raise TypeError(f"term is not in core form: {node!r}")
+                # ``node`` holds: go on with the continuation
+                if k is None:
+                    yield trace
+                    break
+                node, k = k
 
     def exists(self, term: T.Term, trace: Trace, depth: int = 1):
         """Three-valued: is there any bounded extension on which ``term``
@@ -522,48 +534,36 @@ class Evaluator:
     def extensions(self, term: T.Term, trace: Trace) -> tuple[list[Trace], bool]:
         """Eager enumeration: (all extensions found, enumeration complete?)."""
         self._bind(trace.input)
-        with _deep_stack():
-            scope = _Scope()
-            found = list(self.iter_extensions(term, trace, scope, 0))
+        scope = _Scope()
+        found = list(self.iter_extensions(term, trace, scope, 0))
         return found, not scope.hit
 
     # --- verdicts ----------------------------------------------------------
 
     def run(self, input_structure: Structure) -> Verdict:
         self._bind(input_structure)
-        with _deep_stack():
-            _check_input(self.program, input_structure)
-            scope = _Scope()
-            # the search generator is dropped, and so closed, inside the block
-            result = next(
-                self.iter_extensions(self.program.core, Trace.initial(input_structure), scope, 0),
-                None,
-            )
+        _check_input(self.program, input_structure)
+        scope = _Scope()
+        start = Trace.initial(input_structure)
+        result = next(self.iter_extensions(self.program.core, start, scope, 0), None)
         if result is not None:
-            return Verdict(
-                "yes",
-                Witness(result.choices, len(result)),
-                self.nodes,
-                trace=result,
-            )
+            return Verdict("yes", Witness(result.choices, len(result)), self.nodes, trace=result)
         return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes)
 
     def enumerate(self, input_structure: Structure) -> list[Witness]:
         self._bind(input_structure)
-        with _deep_stack():
-            _check_input(self.program, input_structure)
-            trace = Trace.initial(input_structure)
-            scope = _Scope()
-            seen: set = set()
-            out: list[Witness] = []
-            for result in self.iter_extensions(self.program.core, trace, scope, 0):
-                key = result.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Witness(result.choices, len(result)))
-                if len(out) >= self.cfg.witness_limit:
-                    break
+        _check_input(self.program, input_structure)
+        trace = Trace.initial(input_structure)
+        seen: set = set()
+        out: list[Witness] = []
+        for result in self.iter_extensions(self.program.core, trace, _Scope(), 0):
+            key = result.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(Witness(result.choices, len(result)))
+            if len(out) >= self.cfg.witness_limit:
+                break
         return out
 
     # --- replay ------------------------------------------------------------
@@ -583,12 +583,11 @@ class Evaluator:
         """
         chooser = _Chooser(witness.choices)
         try:
-            with _deep_stack():
-                if witness.final_length != 1 + len(witness.choices):
-                    raise _ReplayFail("final_length does not match the number of choices")
-                if witness.final_length > self.cfg.max_trace_length:
-                    raise _ReplayFail("certificate exceeds the configured length bound")
-                trace = self._replay(self.program.core, Trace.initial(input_structure), chooser, 0)
+            if witness.final_length != 1 + len(witness.choices):
+                raise _ReplayFail("final_length does not match the number of choices")
+            if witness.final_length > self.cfg.max_trace_length:
+                raise _ReplayFail("certificate exceeds the configured length bound")
+            trace = self._replay(self.program.core, Trace.initial(input_structure), chooser, 0)
             if not chooser.exhausted():
                 raise _ReplayFail("certificate has more choices than the derivation uses")
             if len(trace) != witness.final_length:
@@ -685,8 +684,7 @@ def holds_antidomain(program: Program, term: T.Term, trace: Trace, cfg: SearchCo
     """Three-valued anti-domain test: True iff no bounded extension lets
     ``term`` succeed; None when the bounded search is inconclusive."""
     compiled = replace(program, main=term)
-    with _deep_stack():
-        r = Evaluator(compiled, cfg).exists(compiled.core, trace)
+    r = Evaluator(compiled, cfg).exists(compiled.core, trace)
     if r is None:
         return None
     return not r

@@ -15,7 +15,9 @@ end of the file.
 
 Operator precedence, tightest first: postfix ``^``; prefix ``~``/``not``;
 ``;``/``and``; ``<+``/``or``.  Parentheses override.  ``if``/``while``/
-``repeat`` parse greedily to the end of the enclosing expression.
+``repeat`` parse greedily to the end of the enclosing expression.  Text that
+nests parentheses, keyword arguments and prefix operators, or a program that
+nests universal checks, more than ``MAX_NESTING`` levels deep is rejected.
 
 Symbols are resolved against the vocabulary of the structure the program will
 run on, so parsing takes a :class:`Vocabulary`.
@@ -41,6 +43,12 @@ from .errors import (
 from .modules import ModuleDef, Rule
 from .structures import ADOM, Vocabulary
 from . import terms as T
+
+# How deeply parentheses, keyword arguments and prefix ``~``/``not`` may nest
+# in program text, and universal checks in a compiled program: the parser
+# and the engine recurse once per level, so a program within the bound runs
+# at the interpreter's default recursion limit.
+MAX_NESTING = 100
 
 KEYWORDS = {
     "module", "term", "id", "skip", "fail", "test", "dom", "dia", "not",
@@ -130,6 +138,17 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = -1  # nesting level of the expression being read
+
+    def _descend(self) -> None:
+        """Enter one more nesting level; the parser and the walks over the
+        term recurse once per level, so past ``MAX_NESTING`` it stops."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"term is nested more than {MAX_NESTING} levels deep",
+                self.peek(skip_newlines=True).line,
+            )
 
     def peek(self, skip_newlines: bool = False) -> Token:
         i = self.pos
@@ -156,13 +175,9 @@ class _Parser:
     # --- terms ---------------------------------------------------------
 
     def parse_expr(self) -> T.Term:
-        return self._parse_union()
-
-    def _at_expr_end(self) -> bool:
-        tok = self.peek(skip_newlines=True)
-        return tok.kind == "eof" or tok.text in ("module", "term", ")", ",", "then", "else", "do", "until")
-
-    def _parse_union(self) -> T.Term:
+        """An expression: a whole term, or one inside a parenthesis or a
+        keyword's arguments, which is one nesting level deeper."""
+        self._descend()
         left = self._parse_seq()
         while not self._at_expr_end():
             tok = self.peek(skip_newlines=True)
@@ -174,7 +189,12 @@ class _Parser:
                 left = T.Or(left, self._parse_seq())
             else:
                 break
+        self.depth -= 1
         return left
+
+    def _at_expr_end(self) -> bool:
+        tok = self.peek(skip_newlines=True)
+        return tok.kind == "eof" or tok.text in ("module", "term", ")", ",", "then", "else", "do", "until")
 
     def _parse_seq(self) -> T.Term:
         left = self._parse_prefix()
@@ -192,13 +212,13 @@ class _Parser:
 
     def _parse_prefix(self) -> T.Term:
         tok = self.peek(skip_newlines=True)
-        if tok.text == "~":
-            self.next(skip_newlines=True)
-            return T.AntiDomain(self._parse_prefix())
-        if tok.text == "not":
-            self.next(skip_newlines=True)
-            return T.Not(self._parse_prefix())
-        return self._parse_postfix()
+        if tok.text not in ("~", "not"):
+            return self._parse_postfix()
+        self.next(skip_newlines=True)
+        self._descend()
+        inner = self._parse_prefix()
+        self.depth -= 1
+        return T.AntiDomain(inner) if tok.text == "~" else T.Not(inner)
 
     def _parse_postfix(self) -> T.Term:
         term = self._parse_atom()
@@ -417,11 +437,12 @@ def _compile(program: Program) -> tuple:
 
     The core is walked once, with an explicit stack, once per shared node,
     for its check depth (``~``, ``^`` and the left arm of ``<+`` open one
-    more level), the registers its modules read in a rule body or write and
-    its tests name, and the past sides of its history tests.  The core and
-    each subterm a search checks (the body of ``~`` and ``^``, the left arm
-    of ``<+``) get the getters of those registers and of that history, which
-    key the exists table.
+    more level; the engine recurses once per level, so a depth past
+    ``MAX_NESTING`` is a diagnostic), the registers its modules read in a
+    rule body or write and its tests name, and the past sides of its history
+    tests.  The core and each subterm a search checks (the body of ``~`` and
+    ``^``, the left arm of ``<+``) get the getters of those registers and of
+    that history, which key the exists table.
     """
     vocab, modules = program.vocabulary, program.modules
     bit = {x: 1 << i for x, i in vocab.register_index.items()}
@@ -535,6 +556,10 @@ def _compile(program: Program) -> tuple:
             diags.append(Diagnostic("UnknownSymbol", f"test names undeclared symbol {sym}"))
         elif not vocab.is_unary(sym):
             diags.append(Diagnostic("NonUnarySymbolInTest", f"test names non-unary symbol {sym}"))
+    if top[2] > MAX_NESTING:
+        diags.append(
+            Diagnostic("TooDeep", f"universal checks nest {top[2]} levels deep, more than {MAX_NESTING}")
+        )
     return top[0], top[2], footprint, tuple(diags)
 
 

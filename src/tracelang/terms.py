@@ -140,20 +140,48 @@ class Pow(Term):
     n: int
 
 
+# What the parser nests without bound: the left arm of a ``;``/``and``/
+# ``<+``/``or`` chain and the body of a ``^`` chain.
+_SPINE = (Seq, And, PrefUnion, Or, MaxIterate)
+
+
 def desugar(t: Term) -> Term:
     """Rewrite surface constructs into the eight core constructors.
 
-    A core-shaped (sub)term is returned as it is, the same object.
+    A core-shaped (sub)term is returned as it is, the same object.  The
+    left spine of ``;``/``<+`` chains and ``^`` chains is walked in a loop,
+    so a long written-out chain costs no recursion; every other part is
+    nested only within parentheses, keyword arguments or prefix operators.
     """
+    spine = []
+    while isinstance(t, _SPINE):
+        spine.append(t)
+        t = t.term if type(t) is MaxIterate else t.left
+    out = _desugar_part(t)
+    for node in reversed(spine):
+        if type(node) is MaxIterate:
+            out = node if out is node.term else MaxIterate(out)
+            continue
+        right = desugar(node.right)
+        if type(node) is And:
+            out = Seq(out, right)
+        elif type(node) is Or:
+            out = PrefUnion(out, right)
+        elif out is not node.left or right is not node.right:
+            out = type(node)(out, right)
+        else:
+            out = node
+    return out
+
+
+def _desugar_part(t: Term) -> Term:
+    """``desugar`` of a term that is not on a spine."""
     match t:
         case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
             return t
-        case AntiDomain(u) | MaxIterate(u):
+        case AntiDomain(u):
             d = desugar(u)
-            return t if d is u else type(t)(d)
-        case Seq(a, b) | PrefUnion(a, b):
-            da, db = desugar(a), desugar(b)
-            return t if da is a and db is b else type(t)(da, db)
+            return t if d is u else AntiDomain(d)
         case Skip():
             return Id()
         case Fail():
@@ -166,10 +194,6 @@ def desugar(t: Term) -> Term:
             return AntiDomain(AntiDomain(Seq(desugar(u), desugar(cond))))
         case Not(u):
             return AntiDomain(desugar(u))
-        case And(a, b):
-            return Seq(desugar(a), desugar(b))
-        case Or(a, b):
-            return PrefUnion(desugar(a), desugar(b))
         case If(cond, then, orelse):
             return PrefUnion(
                 Seq(desugar(Test(cond)), desugar(then)),

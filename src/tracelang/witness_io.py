@@ -49,8 +49,12 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
     """Parse a witness document; returns the witness and the raw fields."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    # a ValueError also for an integer of over 4,300 digits, a RecursionError
+    # for arrays or objects nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"witness file is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("witness file is not a JSON object")
     for field, typ in (
         ("program", str),
         ("input", str),
@@ -69,8 +73,9 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
             not isinstance(entry, dict)
             or not isinstance(entry.get("module"), str)
             or not isinstance(entry.get("assignment"), dict)
+            or not all(isinstance(v, str) for v in entry["assignment"].values())
         ):
-            raise ParseError("witness choice entries need a module and an assignment")
+            raise ParseError("witness choice entries need a module and an assignment of elements")
         choices.append(
             Choice(entry["module"], tuple(sorted(entry["assignment"].items())))
         )

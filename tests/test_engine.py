@@ -20,10 +20,10 @@ from tracelang.engine import (
     verify_witness,
     witness_length,
 )
-from tracelang.errors import TraceLangError
+from tracelang.errors import ParseError, TraceLangError
 from tracelang.lab import UNKNOWN, is_defined
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
-from tracelang.parser import Program, parse_program
+from tracelang.parser import MAX_NESTING, Program, parse_program
 
 from helpers import random_core_term, random_program, random_structure, structure_of
 
@@ -344,22 +344,33 @@ def test_replay_needs_exact_choice_stream():
     assert not verify_witness(prog, s, longer, cfg)
 
 
+def _frame_depth() -> int:
+    """The number of Python frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _record_apply_choice_depths(m, depths: list[int]) -> None:
+    """Patch ``engine.apply_choice`` on ``m`` to append the frame depth of
+    each call to ``depths``."""
+    real_apply_choice = engine.apply_choice
+
+    def recording_apply_choice(*args, **kwargs):
+        depths.append(_frame_depth())
+        return real_apply_choice(*args, **kwargs)
+
+    m.setattr(engine, "apply_choice", recording_apply_choice)
+
+
 def test_replay_stack_depth_is_flat_in_chain_length(monkeypatch):
     # A pow(t, j) certificate is a left-nested chain of j - 1 Seq nodes.  If
     # replay recursed once per level, the frame depth at each module step
     # would grow with j, and deep calls would cost more per step than shallow
     # ones, breaking linear replay time.
     s = structure_of(tuple(f"d{i}" for i in range(40)), registers=("P",))
-    real_apply_choice = engine.apply_choice
     depths: list[int] = []
-
-    def recording_apply_choice(*args, **kwargs):
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        depths.append(depth)
-        return real_apply_choice(*args, **kwargs)
-
     max_depth = {}
     for j in (5, 40):
         prog = _program(
@@ -370,11 +381,31 @@ def test_replay_stack_depth_is_flat_in_chain_length(monkeypatch):
         assert verdict.kind == "yes" and witness_length(verdict.witness) == j
         depths.clear()
         with monkeypatch.context() as m:
-            m.setattr(engine, "apply_choice", recording_apply_choice)
+            _record_apply_choice_depths(m, depths)
             assert verify_witness(prog, s, verdict.witness, cfg)
         assert len(depths) == j
         max_depth[j] = max(depths)
     assert max_depth[5] == max_depth[40]
+
+
+def test_search_stack_depth_is_flat_in_path_length(monkeypatch):
+    # st-conn walks a path with one iterate unfolding per edge.  Search keeps
+    # its continuations and unfolding points on an explicit stack, so the
+    # frame depth at each module step does not grow with the path.
+    from tracelang.problems import ProblemId, build_program, make_st_instance
+
+    depths: list[int] = []
+    max_depth = {}
+    for n in (50, 400):
+        inst = make_st_instance(n, [(i, i + 1) for i in range(n - 1)], 0, n - 1)
+        prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
+        depths.clear()
+        with monkeypatch.context() as m:
+            _record_apply_choice_depths(m, depths)
+            assert run_main_task(prog, inst).kind == "yes"
+        assert len(depths) >= n
+        max_depth[n] = max(depths)
+    assert max_depth[50] == max_depth[400]
 
 
 def _ref_check_bg(p, q, letters):
@@ -684,7 +715,8 @@ def test_footprint_of_a_term_that_touches_no_register():
     assert cur(Trace.initial(s).last.registers) == () and past is None
 
 
-def test_public_calls_restore_the_recursion_limit():
+def test_public_calls_restore_the_recursion_limit(monkeypatch):
+    # No public call changes the recursion limit, not even for its duration.
     s = structure_of(("a", "b"), registers=("P",))
     prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: GuessP ; BG(P != P)", s)
     cfg = _cfg(prog, s)
@@ -692,6 +724,8 @@ def test_public_calls_restore_the_recursion_limit():
     bad = _program('module Pick { P(y) <~ E("zz", y) }\nterm: Pick', bad_input)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1500)
+    calls: list[int] = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     try:
         verdict = run_main_task(prog, s, cfg)
         assert sys.getrecursionlimit() == 1500
@@ -708,14 +742,16 @@ def test_public_calls_restore_the_recursion_limit():
         with pytest.raises(TraceLangError):  # raised inside Evaluator.run
             run_main_task(bad, bad_input)
         assert sys.getrecursionlimit() == 1500
+        assert calls == []
     finally:
+        monkeypatch.undo()
         sys.setrecursionlimit(old)
 
 
 def test_default_bounds_of_a_deep_program_under_a_low_recursion_limit():
-    # Desugaring and the check-depth walk recurse once per sequence level;
-    # the default bounds are computed with the limit raised, and the
-    # caller's limit is given back.
+    # pow shares its halves, the compile walk and the search use explicit
+    # stacks, so the default bounds and the run need no more than the
+    # caller's limit, which they leave as it is.
     s = structure_of(("a", "b"), registers=("P",))
     prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: pow(id, 3000) ; GuessP", s)
     old = sys.getrecursionlimit()
@@ -748,3 +784,81 @@ def test_a_deep_pow_of_a_test_decides_in_one_step():
     verdict = run_main_task(prog, s)
     assert verdict.kind == "yes" and verdict.nodes == 1
     assert verdict.witness.choices == (Choice("Start", (("Reach", "a"),)),)
+
+
+def _near_the_default_limit(f):
+    """``f()`` at the interpreter's default recursion limit of 1,000, called
+    from about 200 frames deep."""
+
+    def down(n):
+        return f() if n <= 0 else down(n - 1)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return down(200 - _frame_depth())
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _nested_checks(n):
+    """``n`` levels of ``~( . <+ id)`` around GuessP: check depth 2n, and
+    2n levels of parentheses and prefix operators."""
+    t = "GuessP"
+    for _ in range(n):
+        t = f"~({t} <+ id)"
+    return t
+
+
+def test_programs_at_the_nesting_bound_decide_at_the_default_limit():
+    # The parser and the engine recurse once per nesting level, and the
+    # bound keeps a program within it runnable at the default limit.
+    s = structure_of(("a", "b"), registers=("P",))
+    bound = MAX_NESTING
+    for term, kind in (
+        ("(" * bound + "GuessP ; BG(P != P)" + ")" * bound, "yes"),
+        ("~" * bound + "GuessP", "yes"),
+        (_nested_checks(bound // 2), "no"),
+    ):
+        text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
+        verdict = _near_the_default_limit(lambda: run_main_task(_program(text, s), s))
+        assert verdict.kind == kind
+    assert _program(f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {_nested_checks(bound // 2)}", s).check_depth == bound
+
+
+def test_programs_past_the_nesting_bound_are_rejected():
+    s = structure_of(("a", "b"), registers=("P",))
+    modules = guess_program(s).modules
+    deep = MAX_NESTING + 1
+    for term in (
+        "(" * deep + "GuessP" + ")" * deep,
+        "~" * deep + "GuessP",
+        "not " * deep + "GuessP",
+        " <+ ".join(["GuessP"] * (deep + 1)),
+        "GuessP" + "^" * deep,
+    ):
+        text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
+        with pytest.raises(ParseError):
+            _near_the_default_limit(lambda: _program(text, s))
+    # a Program built directly is compiled the same way, and refused by a run
+    anti, union = T.ModuleRef("GuessP"), T.ModuleRef("GuessP")
+    for _ in range(deep):
+        anti, union = T.AntiDomain(anti), T.PrefUnion(union, T.ModuleRef("GuessP"))
+    for main in (anti, union):
+        prog = Program(s.vocabulary, modules, main)
+        assert prog.check_depth == deep and prog.diagnostics
+        with pytest.raises(TraceLangError):
+            _near_the_default_limit(lambda: run_main_task(prog, s))
+
+
+def test_a_long_written_out_chain_builds_and_decides_at_the_default_limit():
+    # desugar walks the left spine of a ;/and chain in a loop, and search and
+    # replay are flat in its length
+    s = structure_of(("a", "b"), registers=("P",))
+    for op in (" ; ", " and "):
+        text = "module GuessP { P(x) <~ adom(x) }\nterm: " + op.join(["GuessP"] * 1500)
+        prog = _near_the_default_limit(lambda: _program(text, s))
+        cfg = _cfg(prog, s, max_trace_length=1501)
+        verdict = _near_the_default_limit(lambda: run_main_task(prog, s, cfg))
+        assert verdict.kind == "yes" and verdict.nodes == 1500
+        assert _near_the_default_limit(lambda: verify_witness(prog, s, verdict.witness, cfg))
