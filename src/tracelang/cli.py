@@ -13,7 +13,9 @@ Exit codes are the scripting contract:
   never reads as a verdict
 
 ``--format json`` emits key-sorted JSON; with ``--no-timing`` the report is
-byte-identical across runs on identical inputs.  The environment variable
+byte-identical across runs on identical inputs.  ``run`` reports its verdict,
+``trace_length``, ``nodes_explored`` and its two bounds (``k`` with
+``max_trace_length``, and ``node_budget``).  The environment variable
 ``PROMISE_MAX_NODES`` caps the number of search nodes globally.  Both that
 cap and ``nodes_explored`` count module steps actually expanded; a universal
 check answered directly on the trace or from the evaluator's table expands
@@ -111,7 +113,6 @@ def cmd_run(args) -> int:
         "nodes_explored": verdict.nodes,
         "k": cfg.k,
         "max_trace_length": cfg.max_trace_length,
-        "max_antidomain_depth": cfg.max_antidomain_depth,
         "node_budget": cfg.node_budget,
         "wall_seconds": round(elapsed, 6),
     }
@@ -166,7 +167,7 @@ def _suite_instances(pid: ProblemId, n_lo: int, n_hi: int, trials: int, seed: in
         for n in range(max(1, n_lo), n_hi + 1):
             yield build_instance(pid, {"n": n})
         return
-    rng = random.Random((seed, pid.value))
+    rng = random.Random(f"{seed}:{pid.value}")
     for _ in range(trials):
         if pid is ProblemId.SAME_SIZE:
             n = rng.randint(max(2, n_lo), max(2, n_hi))

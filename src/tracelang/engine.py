@@ -4,12 +4,15 @@ A term is evaluated on a trace (a nonempty string of structures) by
 depth-first search over module choices.  Anti-domain tests, the left arm of a
 preferential union, and maximum-iterate exit checks are universal checks:
 does any extension of the trace let the checked term succeed?  They are
-three-valued under the configured bounds, and any inconclusive check turns a
-would-be "no" into "bound-exceeded", never into a wrong answer.
+three-valued under the bounds on trace length and nodes, and any
+inconclusive check turns a would-be "no" into "bound-exceeded", never into a
+wrong answer.
 
 The search is one loop over an explicit stack, so its Python stack grows
-only with the nesting of universal checks, which the compile step bounds
-(``parser.MAX_NESTING``): the engine runs at the caller's recursion limit.
+only with the nesting of universal checks.  The program fixes that nesting,
+and the compile step refuses it past ``parser.MAX_NESTING``, so no check
+depth is configured or tracked and the engine runs at the caller's
+recursion limit.
 
 A check is first evaluated directly on the trace, as a test that keeps the
 trace or fails; a term with no module in it is always decided so, with no
@@ -17,10 +20,9 @@ nested search.  A check that reaches a module opens a nested exhaustive
 search over a fresh choice of guesses, and its definite answers are tabled
 per evaluator on the term's footprint: the registers its modules and tests
 can read or write, the history of the registers its history tests look back
-on, the trace length and the check depth.  The footprint getters come from
-the program's compile step (``Program.footprint``), which also gives the
-default check depth, so a run walks no term to find them.  A check answered
-directly or from the table expands no node.
+on, and the trace length.  The footprint getters come from the program's
+compile step (``Program.footprint``), so a run walks no term to find them.
+A check answered directly or from the table expands no node.
 
 A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
@@ -203,7 +205,8 @@ _LENGTH_CAP = 1 << 62
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds for the search.
+    """Bounds for the search: the trace length and the node budget.  The
+    nesting of universal checks needs no bound here, the program fixes it.
 
     ``max_trace_length`` counts letters including the input.  The default is
     ``max(2, n) ** k + 2``: the polynomial bound on added letters, plus the
@@ -212,14 +215,11 @@ class SearchConfig:
     stay conclusive at very small domains.  No search builds a trace near
     ``2 ** 62`` letters, so the default is cut there: no answer changes, and
     a huge ``k`` costs no more than ``k = 62``.
-    ``max_antidomain_depth`` caps the nesting of universal checks and
-    defaults to the static requirement of the term, so it only bites when
-    explicitly lowered.
+    ``node_budget`` caps the module steps expanded (``None``: no cap).
     """
 
     k: int = 2
     max_trace_length: int = 101
-    max_antidomain_depth: int = 8
     witness_limit: int = 1000
     node_budget: Optional[int] = None
 
@@ -230,19 +230,18 @@ class SearchConfig:
         input_structure: Structure,
         k: int = 2,
         max_trace_length: Optional[int] = None,
-        max_antidomain_depth: Optional[int] = None,
         witness_limit: int = 1000,
         node_budget: Optional[int] = None,
     ) -> "SearchConfig":
+        """The default bounds for a run on ``input_structure``; they depend
+        on the input alone, not on ``program``."""
         if k < 0:
             raise InvalidParamsError(f"the length-bound exponent k must be nonnegative, got {k}")
         if max_trace_length is None:
             # max(2, n) ** 62 >= 2 ** 62, so capping k first bounds the power
             power = max(2, len(input_structure.domain)) ** min(k, 62)
             max_trace_length = min(power, _LENGTH_CAP) + 2
-        if max_antidomain_depth is None:
-            max_antidomain_depth = max(1, program.check_depth)
-        return cls(k, max_trace_length, max_antidomain_depth, witness_limit, node_budget)
+        return cls(k, max_trace_length, witness_limit, node_budget)
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,7 @@ class Evaluator:
 
     # --- search ----------------------------------------------------------
 
-    def iter_extensions(self, term: T.Term, trace: Trace, scope: _Scope, depth: int = 0) -> Iterator[Trace]:
+    def iter_extensions(self, term: T.Term, trace: Trace, scope: _Scope) -> Iterator[Trace]:
         """Yield every bounded extension of ``trace`` on which ``term``
         succeeds under some sequence of guesses; set ``scope.hit`` when the
         enumeration is incomplete because a bound was reached.
@@ -398,7 +397,7 @@ class Evaluator:
                     if not check_bg(node.current, node.past, trace):
                         break
                 elif cls is T.AntiDomain:
-                    r = self.exists(node.term, trace, depth + 1)
+                    r = self.exists(node.term, trace)
                     if r is not False:
                         if r is None:
                             scope.hit = True
@@ -407,7 +406,7 @@ class Evaluator:
                     if not check_eq(node.left, node.right, trace):
                         break
                 elif cls is T.PrefUnion:
-                    r = self.exists(node.left, trace, depth + 1)
+                    r = self.exists(node.left, trace)
                     if r is None:
                         scope.hit = True
                         break
@@ -440,7 +439,7 @@ class Evaluator:
                     break
                 node, k = k
 
-    def exists(self, term: T.Term, trace: Trace, depth: int = 1):
+    def exists(self, term: T.Term, trace: Trace):
         """Three-valued: is there any bounded extension on which ``term``
         succeeds?  ``None`` means the bounded search was inconclusive.
 
@@ -451,9 +450,7 @@ class Evaluator:
         from outside the program has no footprint and is searched untabled.
         """
         self.exists_calls += 1
-        if depth > self.cfg.max_antidomain_depth:
-            return None
-        r = self._test(term, trace, depth)
+        r = self._test(term, trace)
         if r is not _SEARCH:
             return r
         if trace.input is not self._input:
@@ -470,14 +467,13 @@ class Evaluator:
                 cur(trace.last.registers),
                 past(trace.hist) if past is not None else None,
                 trace.length,
-                depth,
             )
             r = self._table.get(key)
             if r is not None:
                 self.table_hits += 1
                 return r
         sub = _Scope()
-        for _ in self.iter_extensions(term, trace, sub, depth):
+        for _ in self.iter_extensions(term, trace, sub):
             r = True
             break
         else:
@@ -486,15 +482,14 @@ class Evaluator:
             self._table[key] = r
         return r
 
-    def _test(self, term: T.Term, trace: Trace, depth: int):
-        """Evaluate ``term`` directly on ``trace`` as a three-valued test:
-        exactly what a nested search at ``depth`` would return, without one,
-        or ``_SEARCH`` when the evaluation reaches a module, which only a
+    def _test(self, term: T.Term, trace: Trace):
+        """Evaluate ``term`` directly on ``trace`` as a test: True or False,
+        exactly what a nested search would return, without one, or
+        ``_SEARCH`` when the evaluation reaches a module, which only a
         search can expand.  A sequence is true when all its parts are, else
         its first part that is not; it is walked from a worklist, so a long
         chain stays flat.  Nodes are told apart by type tests, which cost
         about half as much as class patterns on this hot path."""
-        max_depth = self.cfg.max_antidomain_depth
         work = [term]
         while work:
             t = work.pop()
@@ -505,9 +500,10 @@ class Evaluator:
                 continue
             if cls is T.BackGlobal:
                 r = check_bg(t.current, t.past, trace)
-            elif cls is T.AntiDomain:
-                r = None if depth >= max_depth else self._test(t.term, trace, depth + 1)
-                if r is not None and r is not _SEARCH:
+            elif cls is T.AntiDomain or cls is T.MaxIterate:
+                # an iterate of a test exits exactly where the test fails
+                r = self._test(t.term, trace)
+                if r is not _SEARCH:
                     r = not r
             elif cls is T.EqTest:
                 r = check_eq(t.left, t.right, trace)
@@ -516,15 +512,11 @@ class Evaluator:
             elif cls is T.Id:
                 continue
             elif cls is T.PrefUnion:
-                r = None if depth >= max_depth else self._test(t.left, trace, depth + 1)
-                if r is None or r is _SEARCH:
+                r = self._test(t.left, trace)
+                if r is _SEARCH:
                     return r
                 work.append(t.left if r else t.right)
                 continue
-            elif cls is T.MaxIterate:
-                r = self._test(t.term, trace, depth)
-                if r is not None and r is not _SEARCH:
-                    r = not r
             else:
                 raise TypeError(f"term is not in core form: {t!r}")
             if r is not True:
@@ -535,7 +527,7 @@ class Evaluator:
         """Eager enumeration: (all extensions found, enumeration complete?)."""
         self._bind(trace.input)
         scope = _Scope()
-        found = list(self.iter_extensions(term, trace, scope, 0))
+        found = list(self.iter_extensions(term, trace, scope))
         return found, not scope.hit
 
     # --- verdicts ----------------------------------------------------------
@@ -545,7 +537,7 @@ class Evaluator:
         _check_input(self.program, input_structure)
         scope = _Scope()
         start = Trace.initial(input_structure)
-        result = next(self.iter_extensions(self.program.core, start, scope, 0), None)
+        result = next(self.iter_extensions(self.program.core, start, scope), None)
         if result is not None:
             return Verdict("yes", Witness(result.choices, len(result)), self.nodes, trace=result)
         return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes)
@@ -556,7 +548,7 @@ class Evaluator:
         trace = Trace.initial(input_structure)
         seen: set = set()
         out: list[Witness] = []
-        for result in self.iter_extensions(self.program.core, trace, _Scope(), 0):
+        for result in self.iter_extensions(self.program.core, trace, _Scope()):
             key = result.key()
             if key in seen:
                 continue
@@ -580,14 +572,16 @@ class Evaluator:
 
         A failure's message starts with ``at choice i:``, where ``i`` is the
         number of choices replayed before it (the index of the failing one).
+        An invalid program raises as it does for a run, before any replay.
         """
+        _check_input(self.program, input_structure)
         chooser = _Chooser(witness.choices)
         try:
             if witness.final_length != 1 + len(witness.choices):
                 raise _ReplayFail("final_length does not match the number of choices")
             if witness.final_length > self.cfg.max_trace_length:
                 raise _ReplayFail("certificate exceeds the configured length bound")
-            trace = self._replay(self.program.core, Trace.initial(input_structure), chooser, 0)
+            trace = self._replay(self.program.core, Trace.initial(input_structure), chooser)
             if not chooser.exhausted():
                 raise _ReplayFail("certificate has more choices than the derivation uses")
             if len(trace) != witness.final_length:
@@ -596,7 +590,7 @@ class Evaluator:
             raise type(e)(f"at choice {chooser.pos}: {e}") from None
         return trace
 
-    def _replay(self, term: T.Term, trace: Trace, chooser: _Chooser, depth: int) -> Trace:
+    def _replay(self, term: T.Term, trace: Trace, chooser: _Chooser) -> Trace:
         # Sequencing and the chosen union arm are replayed from a worklist,
         # left part before right part, so the Python stack stays flat however
         # long a ``Seq`` chain (e.g. a desugared ``pow``) is.
@@ -624,25 +618,25 @@ class Evaluator:
                     work.append(b)
                     work.append(a)
                 case T.AntiDomain(a):
-                    r = self.exists(a, trace, depth + 1)
+                    r = self.exists(a, trace)
                     if r is not False:
                         raise _ReplayFail(
                             "anti-domain test fails" if r else "anti-domain check inconclusive"
                         )
                 case T.PrefUnion(a, b):
-                    r = self.exists(a, trace, depth + 1)
+                    r = self.exists(a, trace)
                     if r is None:
                         raise _ReplayFail("union arm check inconclusive")
                     work.append(a if r else b)
                 case T.MaxIterate(a):
                     seen = {trace.last.registers}
                     while True:
-                        r = self.exists(a, trace, depth + 1)
+                        r = self.exists(a, trace)
                         if r is False:
                             break
                         if r is None:
                             raise _ReplayFail("iterate exit check inconclusive")
-                        trace = self._replay(a, trace, chooser, depth)
+                        trace = self._replay(a, trace, chooser)
                         key = trace.last.registers
                         if key in seen:
                             raise _ReplayFail("iterate revisits a milestone valuation")
@@ -658,14 +652,15 @@ class Evaluator:
         return trace
 
 
-def _check_input(program: Program, input_structure: Structure) -> None:
-    """The program was validated when it was built; only the constants
-    depend on the input's domain."""
+def _check_input(program: Program, input_structure: Structure) -> Program:
+    """Refuse an invalid program, else return it.  The program was validated
+    when it was built; only the constants depend on the input's domain."""
     if input_structure.vocabulary != program.vocabulary:
         raise VocabularyMismatchError("input structure does not match the program vocabulary")
     diags = [*program.diagnostics, *check_constants(program, input_structure.domain)]
     if diags:
         raise UnknownSymbolError(f"program is not valid: {diags[0]}")
+    return program
 
 
 # --- module-level convenience surface ---------------------------------------
@@ -675,19 +670,20 @@ def eval_deltas(
     program: Program, term: T.Term, trace: Trace, cfg: SearchConfig
 ) -> tuple[list[Trace], bool]:
     """All bounded extensions of ``trace`` on which ``term`` succeeds, plus a
-    flag telling whether the enumeration is complete (no bound was hit)."""
-    compiled = replace(program, main=term)
+    flag telling whether the enumeration is complete (no bound was hit).
+    ``term`` is compiled with the program's modules, and refused as a run
+    refuses an invalid program."""
+    compiled = _check_input(replace(program, main=term), trace.input)
     return Evaluator(compiled, cfg).extensions(compiled.core, trace)
 
 
 def holds_antidomain(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Three-valued anti-domain test: True iff no bounded extension lets
-    ``term`` succeed; None when the bounded search is inconclusive."""
-    compiled = replace(program, main=term)
+    ``term`` succeed; None when the bounded search is inconclusive.  The
+    term is compiled and refused as in :func:`eval_deltas`."""
+    compiled = _check_input(replace(program, main=term), trace.input)
     r = Evaluator(compiled, cfg).exists(compiled.core, trace)
-    if r is None:
-        return None
-    return not r
+    return None if r is None else not r
 
 
 def run_main_task(

@@ -62,14 +62,21 @@ def _deno(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig) -> tu
                 for c in successor_choices(program.modules[name], last)
             )
             return exts, True
-        case T.Seq(a, b):
-            first, complete = _deno(program, a, trace, cfg)
-            out: set[Trace] = set()
-            for u in first:
-                more, ok = _deno(program, b, u, cfg)
-                out |= more
-                complete = complete and ok
-            return frozenset(out), complete
+        case T.Seq():
+            # the left spine in a loop, so a long ``;`` chain stays flat
+            rights = []
+            while isinstance(term, T.Seq):
+                rights.append(term.right)
+                term = term.left
+            found, complete = _deno(program, term, trace, cfg)
+            for b in reversed(rights):
+                out: set[Trace] = set()
+                for u in found:
+                    more, ok = _deno(program, b, u, cfg)
+                    out |= more
+                    complete = complete and ok
+                found = frozenset(out)
+            return found, complete
         case T.AntiDomain(a):
             found, complete = _deno(program, a, trace, cfg)
             if found:

@@ -22,7 +22,7 @@ import json
 from typing import Any
 
 from .engine import SearchConfig, Witness, replay_failure
-from .errors import ParseError
+from .errors import ParseError, UnknownSymbolError
 from .modules import Choice
 from .parser import parse_program
 from .structures import parse_structure
@@ -104,7 +104,10 @@ def verify_witness_file(
     except Exception as e:  # parse/validation problems in the source texts
         return False, f"cannot parse inputs: {e}"
     cfg = SearchConfig.for_run(program, structure, k=doc["k"])
-    failure = replay_failure(program, structure, witness, cfg)
+    try:
+        failure = replay_failure(program, structure, witness, cfg)
+    except UnknownSymbolError as e:  # a constant outside the input's domain
+        return False, f"cannot parse inputs: {e}"
     if failure is None:
         return True, "witness replays cleanly"
     return False, f"replay failed {failure}"

@@ -26,7 +26,7 @@ from tracelang.engine import (
     witness_length,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
-from tracelang.parser import Program, parse_program
+from tracelang.parser import parse_program
 from tracelang.problems import (
     ProblemId,
     build_instance,
@@ -203,7 +203,7 @@ def test_criterion_7_engine_vs_denotational_cross_check():
         cases += 1
         s = random_structure(rng, max_domain=3)
         prog = random_program(rng, s, depth=4)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=16)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
@@ -381,8 +381,7 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         s = random_structure(rng, max_domain=3)
         prog = random_program(rng, s, depth=2)
         t = random_core_term(rng, sorted(prog.modules), rng.randint(0, 2))
-        depth_needed = 3 + Program(prog.vocabulary, prog.modules, t).check_depth
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=depth_needed + 2)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         ev = Evaluator(prog, cfg)
         # build a random base trace by a few module steps
         base = Trace.initial(s)

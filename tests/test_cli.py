@@ -151,13 +151,28 @@ def test_json_report_is_stable(even_files, capsys):
     assert first == second
     report = json.loads(first)
     assert list(report) == sorted(report)
-    assert "wall_seconds" not in report
+    assert set(report) == {"k", "max_trace_length", "node_budget", "nodes_explored", "trace_length", "verdict"}
+
+
+def test_run_report_keys(even_files, tmp_path, capsys):
+    args = ["run", "--program", even_files["program"], "--structure", even_files[4], "--format", "json"]
+    assert main(args + ["--witness", str(tmp_path / "w.json")]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "k", "max_trace_length", "node_budget", "nodes_explored", "trace_length", "verdict",
+        "wall_seconds", "witness_length", "witness_path",
+    }
 
 
 def test_suite_small_run(capsys):
     assert main(["suite", "--problem", "even", "--n-range", "1..4", "--no-timing"]) == 0
     out = capsys.readouterr().out
     assert "even" in out and " 4" in out
+
+
+def test_the_default_suite_agrees_on_every_problem(capsys):
+    assert main(["suite", "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"{pid.value:<12}" in out for pid in ProblemId)
 
 
 def test_node_budget_env(even_files, monkeypatch, capsys):
@@ -203,3 +218,15 @@ def test_equiv_decides_a_deep_pow(left, tmp_path, capsys):
     argv = ["equiv", "--program", str(program), "--structure", str(structure)]
     assert main(argv + ["--left", left, "--right", "GuessP"]) == 0
     assert capsys.readouterr().out.startswith("True ")
+
+
+def test_equiv_on_a_long_written_out_chain_is_unknown(tmp_path, capsys):
+    # the lab walks the left spine of a ; chain in a loop, so a chain past
+    # the length bound is inconclusive, not a crash
+    program = tmp_path / "guess.program"
+    program.write_text("module GuessP { P(x) <~ adom(x) }\nterm: GuessP\n")
+    structure = tmp_path / "ab.structure"
+    structure.write_text("domain a b\nreg P\n")
+    argv = ["equiv", "--program", str(program), "--structure", str(structure)]
+    assert main(argv + ["--left", " ; ".join(["GuessP"] * 1500), "--right", "GuessP"]) == 2
+    assert capsys.readouterr().out.startswith("Unknown ")

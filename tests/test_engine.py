@@ -232,7 +232,7 @@ def test_tests_are_diagonal():
     rng = random.Random(41)
     s = structure_of(("a", "b"), registers=("P", "Q"))
     prog = guess_program(s)
-    cfg = _cfg(prog, s, max_antidomain_depth=8)
+    cfg = _cfg(prog, s)
     base = Trace.initial(s)
     test_shaped = [
         T.EqTest("P", "Q"),
@@ -254,7 +254,7 @@ def test_weak_idempotence_of_antidomain():
         "module GuessP { P(x) <~ adom(x) }\nmodule CopyR { P(x) <~ R(x) }\nterm: GuessP",
         s,
     )
-    cfg = _cfg(prog, s, max_antidomain_depth=8)
+    cfg = _cfg(prog, s)
     base = Trace.initial(s)
     dead = T.ModuleRef("CopyR")  # undefined at base
     single, c1 = eval_deltas(prog, T.AntiDomain(dead), base, cfg)
@@ -272,13 +272,6 @@ def test_node_budget_reports_bound_exceeded():
     assert run_main_task(prog, s, cfg).kind == "bound-exceeded"
 
 
-def test_antidomain_depth_cap_gives_bound_exceeded():
-    s = structure_of(("a",), registers=("P",))
-    prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: ~ GuessP", s)
-    cfg = SearchConfig.for_run(prog, s, max_antidomain_depth=0)
-    assert run_main_task(prog, s, cfg).kind == "bound-exceeded"
-
-
 def test_trace_length_bound_blocks_deep_search():
     s = structure_of(("a", "b", "c"), registers=("P",))
     prog = _program(
@@ -293,7 +286,7 @@ def test_search_is_deterministic():
     for _ in range(30):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=10)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         v1 = Evaluator(prog, cfg).run(s)
         v2 = Evaluator(prog, cfg).run(s)
         assert v1.kind == v2.kind
@@ -545,9 +538,7 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
             )
         ]
         modules = {f"M{i}": _random_one_rule_module(rng, f"M{i}") for i in range(4)}
-        cfg = SearchConfig(
-            k=2, max_trace_length=rng.randint(4, 6), max_antidomain_depth=rng.randint(1, 3)
-        )
+        cfg = SearchConfig(k=2, max_trace_length=rng.randint(4, 6))
         terms = []
         for _ in range(4):
             names = rng.sample(sorted(modules), 2)
@@ -573,11 +564,11 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
         # and traces of other lengths, for the length bound
         variants += [base[:-1], base + [tuple(rng.choice(values) for _ in range(3))]]
         traces = [_trace_of(s, vs) for s in inputs for vs in variants]
-        queries = [(t, tr, d) for t in terms for tr in traces for d in (1, 2)]
+        queries = [(t, tr) for t in terms for tr in traces]
         rng.shuffle(queries)
         shared = Evaluator(prog, cfg)
-        for t, tr, d in queries:
-            assert shared.exists(t, tr, d) == Evaluator(prog, cfg).exists(t, tr, d)
+        for t, tr in queries:
+            assert shared.exists(t, tr) == Evaluator(prog, cfg).exists(t, tr)
         hits += shared.table_hits
         assert shared.exists_calls >= len(queries)  # nested checks count too
     assert hits > 0
@@ -599,64 +590,55 @@ def _random_test_term(rng, depth):
     return cls(_random_test_term(rng, depth - 1))
 
 
-def _nested_search(ev, term, trace, depth):
+def _nested_search(ev, term, trace):
     """What ``exists`` answers by opening a nested search."""
-    if depth > ev.cfg.max_antidomain_depth:
-        return None
     scope = engine._Scope()
-    for _ in ev.iter_extensions(term, trace, scope, depth):
+    for _ in ev.iter_extensions(term, trace, scope):
         return True
     return None if scope.hit else False
 
 
 def test_module_free_checks_match_the_oracle_and_the_nested_search():
-    # A module-free check is evaluated directly on the trace.  At ample depth
-    # it agrees with the denotational oracle; at every depth, a lowered one
-    # included, it returns exactly what a nested search returns.
+    # A module-free check is evaluated directly on the trace: it agrees with
+    # the denotational oracle and returns exactly what a nested search
+    # returns, and expands no node.
     rng = random.Random(59)
     for _ in range(300):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
         t = _random_test_term(rng, rng.randint(1, 4))
-        ample = 1 + Program(prog.vocabulary, prog.modules, t).check_depth
-        cfg = SearchConfig(k=2, max_trace_length=8, max_antidomain_depth=ample)
+        cfg = SearchConfig(k=2, max_trace_length=8)
         ev = Evaluator(prog, cfg)
-        assert ev.exists(t, trace) == is_defined(prog, t, trace, cfg)
-        for max_depth in range(ample + 1):
-            low = Evaluator(prog, dataclasses.replace(cfg, max_antidomain_depth=max_depth))
-            r = low.exists(t, trace)
-            assert r is None or r == is_defined(prog, t, trace, cfg)
-            assert r == _nested_search(low, t, trace, 1)
-            assert low.nodes == 0 and not low._table
+        r = ev.exists(t, trace)
+        assert r == is_defined(prog, t, trace, cfg)
+        assert r == _nested_search(Evaluator(prog, cfg), t, trace)
+        assert ev.nodes == 0 and not ev._table
 
 
 def test_exists_matches_the_nested_search_on_terms_with_modules():
     # A check is first evaluated directly and handed to a search only when
     # it reaches a module: the answer and the nodes expanded are those of
-    # the nested search, at every depth bound, and agree with the oracle
-    # whenever the bounded answer is definite.
+    # the nested search, and agree with the oracle whenever the bounded
+    # answer is definite.
     rng = random.Random(67)
     for _ in range(300):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
-        depth = Program(prog.vocabulary, prog.modules, t).check_depth
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=1 + depth)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         oracle = is_defined(prog, t, trace, cfg)
-        for max_depth in range(cfg.max_antidomain_depth + 1):
-            low = dataclasses.replace(cfg, max_antidomain_depth=max_depth)
-            direct, searched = Evaluator(prog, low), Evaluator(prog, low)
-            r = direct.exists(t, trace)
-            assert r == _nested_search(searched, t, trace, 1)
-            assert direct.nodes == searched.nodes
-            assert r is None or oracle is UNKNOWN or r == oracle
+        direct, searched = Evaluator(prog, cfg), Evaluator(prog, cfg)
+        r = direct.exists(t, trace)
+        assert r == _nested_search(searched, t, trace)
+        assert direct.nodes == searched.nodes
+        assert r is None or oracle is UNKNOWN or r == oracle
 
 
 def test_table_holds_no_inconclusive_answer():
-    # Runs that hit the length bound, the check depth bound or the node
-    # budget leave only definite answers in the table.
+    # Runs that hit the length bound or the node budget leave only definite
+    # answers in the table.
     from tracelang.problems import ProblemId, build_program, make_mod2_instance
 
     inst = make_mod2_instance(3, [(0, 1, 2, 1), (0, 1, 1, 0), (2, 2, 0, 1)])
@@ -664,7 +646,6 @@ def test_table_holds_no_inconclusive_answer():
     full = SearchConfig.for_run(prog, inst)
     for cfg in (
         dataclasses.replace(full, max_trace_length=7),
-        dataclasses.replace(full, max_antidomain_depth=1),
         dataclasses.replace(full, node_budget=150),
     ):
         ev = Evaluator(prog, cfg)
@@ -677,7 +658,6 @@ def test_table_holds_no_inconclusive_answer():
         cfg = SearchConfig(
             k=2,
             max_trace_length=rng.randint(2, 4),
-            max_antidomain_depth=rng.randint(1, 3),
             node_budget=rng.choice([None, 5, 20]),
         )
         ev = Evaluator(prog, cfg)
@@ -757,8 +737,6 @@ def test_default_bounds_of_a_deep_program_under_a_low_recursion_limit():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1500)
     try:
-        assert _cfg(prog, s).max_antidomain_depth == 1
-        assert sys.getrecursionlimit() == 1500
         assert run_main_task(prog, s).kind == "yes"
         assert sys.getrecursionlimit() == 1500
     finally:
@@ -828,7 +806,7 @@ def test_programs_at_the_nesting_bound_decide_at_the_default_limit():
 
 def test_programs_past_the_nesting_bound_are_rejected():
     s = structure_of(("a", "b"), registers=("P",))
-    modules = guess_program(s).modules
+    guess = guess_program(s)
     deep = MAX_NESTING + 1
     for term in (
         "(" * deep + "GuessP" + ")" * deep,
@@ -840,15 +818,39 @@ def test_programs_past_the_nesting_bound_are_rejected():
         text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
         with pytest.raises(ParseError):
             _near_the_default_limit(lambda: _program(text, s))
-    # a Program built directly is compiled the same way, and refused by a run
+    # a Program built directly is compiled the same way, and refused by a
+    # run, a replay and a check: no check depth is configured, so the TooDeep
+    # diagnostic is what keeps it from recursing past the limit
+    cfg, start = _cfg(guess, s), Trace.initial(s)
     anti, union = T.ModuleRef("GuessP"), T.ModuleRef("GuessP")
     for _ in range(deep):
         anti, union = T.AntiDomain(anti), T.PrefUnion(union, T.ModuleRef("GuessP"))
     for main in (anti, union):
-        prog = Program(s.vocabulary, modules, main)
+        prog = Program(s.vocabulary, guess.modules, main)
         assert prog.check_depth == deep and prog.diagnostics
-        with pytest.raises(TraceLangError):
-            _near_the_default_limit(lambda: run_main_task(prog, s))
+        for call in (
+            lambda: run_main_task(prog, s),
+            lambda: Evaluator(prog, cfg).replay(s, Witness((), 1)),
+            lambda: eval_deltas(guess, main, start, cfg),
+            lambda: holds_antidomain(guess, main, start, cfg),
+        ):
+            with pytest.raises(TraceLangError, match="TooDeep"):
+                _near_the_default_limit(call)
+
+
+def test_a_preferential_union_chain_searches_each_arm_once():
+    # The exists table keys on no check level, so the left arm a chain of
+    # <+ checks one level deeper is answered from the table when the search
+    # goes on with it: one node per arm, and each nested search asks only
+    # the arms below it.
+    s = structure_of(("a", "b"), registers=("P",))
+    prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: " + " <+ ".join(["GuessP"] * 101), s)
+    assert prog.check_depth == MAX_NESTING
+    ev = Evaluator(prog, _cfg(prog, s))
+    verdict = ev.run(s)
+    assert verdict.kind == "yes" and verdict.nodes == 101
+    assert verdict.witness == Witness((Choice("GuessP", (("P", "a"),)),), 2)
+    assert ev.exists_calls <= 5050
 
 
 def test_a_long_written_out_chain_builds_and_decides_at_the_default_limit():

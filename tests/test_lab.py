@@ -20,7 +20,7 @@ def _setup():
         "module GuessP { P(x) <~ adom(x) }\nmodule CopyR { P(x) <~ R(x) }\nterm: GuessP",
         s.vocabulary,
     )
-    return s, prog, SearchConfig.for_run(prog, s, max_antidomain_depth=10)
+    return s, prog, SearchConfig.for_run(prog, s)
 
 
 def test_denotational_id_and_antidomain():
@@ -91,7 +91,7 @@ def test_strong_implies_before_after_on_random_pairs():
         other = random_program(rng, s, depth=3)
         if set(other.modules) - set(prog.modules):
             continue
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=10)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         bases = [Trace.initial(s)]
         strong = strongly_equivalent(prog, prog.main, other.main, bases, cfg)
         if strong is UNKNOWN:
@@ -107,7 +107,7 @@ def test_denotational_agrees_with_engine_on_random_cases():
     for _ in range(200):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=12)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
@@ -128,7 +128,7 @@ def test_verdict_matches_denotational_definedness():
     for _ in range(150):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=4)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=14)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         defined = is_defined(prog, prog.main, Trace.initial(s), cfg)
         verdict = run_main_task(prog, s, cfg)
         if defined is UNKNOWN or verdict.kind == "bound-exceeded":
@@ -143,7 +143,7 @@ def test_extensions_extend_their_base():
     for _ in range(50):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=12)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         if deno is UNKNOWN:

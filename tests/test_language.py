@@ -186,7 +186,7 @@ def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
         prog = Program(s.vocabulary, modules, main)
         assert validate_program(prog) == []
         folded += prog.core != desugar(prog.main)
-        cfg = SearchConfig(k=2, max_trace_length=5, max_antidomain_depth=16)
+        cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = Evaluator(prog, cfg).extensions(prog.core, base)

@@ -1,5 +1,5 @@
-"""Properties of the three untrusted inputs: program text, witness JSON and
-whole witness files.  Whatever the input, the library answers with a value
+"""Properties of the untrusted inputs: program text, structure text,
+witness JSON and whole witness files.  Whatever the input, the library answers with a value
 or a ``TraceLangError``, within a small time budget per example."""
 
 import copy
@@ -66,6 +66,25 @@ def test_deeply_nested_terms_raise_only_tracelang_errors(wrappers, core):
     for wrapper in wrappers:
         term = wrapper.format(term)
     _assert_parses_or_refuses(MODULES + "term: " + term + "\n")
+
+
+# words and separators of the structure language, so that random text gets
+# past the line tokenizer
+_STRUCTURE_WORDS = st.sampled_from(
+    [
+        "domain", "edb", "reg", "state", "a", "b", "c", "E", "P", "Q", "0", "1", "2", "-1",
+        "P=a", "Q=_", "P=", "=b", "_", "#", " ", "  ", "\n", "\n  ", "\t",
+    ]
+)
+
+
+@budget
+@given(st.text(max_size=200) | st.lists(_STRUCTURE_WORDS, max_size=60).map("".join))
+def test_structure_text_raises_only_tracelang_errors(text):
+    try:
+        parse_structure(text)
+    except TraceLangError:
+        pass
 
 
 _JSON = st.recursive(

@@ -6,7 +6,7 @@ from tracelang.engine import run_main_task
 from tracelang.errors import ParseError
 from tracelang.parser import parse_program
 from tracelang.structures import parse_structure
-from tracelang.witness_io import verify_witness_file, witness_from_json, witness_to_json
+from tracelang.witness_io import text_hash, verify_witness_file, witness_from_json, witness_to_json
 
 PROGRAM = "module GuessP { P(x) <~ adom(x) }\nterm: id\n"  # final_length 1
 STRUCTURE = "domain a b\nreg P\n"
@@ -104,3 +104,18 @@ def test_replay_failures_say_where_and_why():
     )
     # a failing test after a step: two choices were replayed before it
     assert reason(repeated) == "replay failed at choice 2: history test BG(P != P) fails"
+
+
+def test_a_certificate_of_a_program_a_run_refuses_is_invalid():
+    # a run refuses a constant outside the input's domain, and so does
+    # replay, before it re-derives anything
+    program = 'module Pick { P(x) <~ adom(x) }\nmodule Bad { P(y) <~ adom(y), P("zz") }\nterm: Pick ; (Bad <+ id)\n'
+    doc = {
+        "program": text_hash(program),
+        "input": text_hash(STRUCTURE),
+        "k": 2,
+        "choices": [{"module": "Pick", "assignment": {"P": "a"}}],
+        "final_length": 2,
+    }
+    ok, reason = verify_witness_file(program, STRUCTURE, json.dumps(doc))
+    assert not ok and "UnknownElement" in reason
