@@ -14,12 +14,13 @@ Exit codes are the scripting contract:
 
 ``--format json`` emits key-sorted JSON; with ``--no-timing`` the report is
 byte-identical across runs on identical inputs.  ``run`` reports its verdict,
-``trace_length``, ``nodes_explored`` and its two bounds (``k`` with
+``trace_length``, ``nodes_explored``, the check counters ``exists_calls``
+and ``table_hits`` (see ``engine.Evaluator``) and its two bounds (``k`` with
 ``max_trace_length``, and ``node_budget``).  The environment variable
 ``PROMISE_MAX_NODES`` caps the number of search nodes globally.  Both that
 cap and ``nodes_explored`` count module steps actually expanded; a universal
 check answered directly on the trace or from the evaluator's table expands
-none.
+none, and the left arm of a union is expanded once, by the search itself.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def cmd_run(args) -> int:
         "verdict": verdict.kind,
         "trace_length": verdict.witness.final_length if verdict.witness else None,
         "nodes_explored": verdict.nodes,
+        "exists_calls": verdict.exists_calls,
+        "table_hits": verdict.table_hits,
         "k": cfg.k,
         "max_trace_length": cfg.max_trace_length,
         "node_budget": cfg.node_budget,

@@ -24,6 +24,14 @@ on, and the trace length.  The footprint getters come from the program's
 compile step (``Program.footprint``), so a run walks no term to find them.
 A check answered directly or from the table expands no node.
 
+The search does not check the left arm of a preferential union in a nested
+search and then enumerate it again: it runs the arm once, in line, under a
+scope that records whether the arm succeeded or hit a bound, goes on with
+the union's continuation at each success, and turns to the right arm only
+when the arm's search was complete and found nothing.  Its answer is tabled
+like a check's, so a known answer still skips the search.  Replay still
+checks union arms with ``exists``.
+
 A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
 guess dictated by the certificate, so the derivation is deterministic and
@@ -50,6 +58,10 @@ from .structures import ADOM, Structure
 from . import terms as T
 
 
+# What no register holds: the value before the input letter.
+_UNSET = object()
+
+
 class Trace:
     """Nonempty string of structures; the first letter is the input.
 
@@ -57,15 +69,18 @@ class Trace:
     (``None`` at the input letter), its ``last`` letter, the module ``choice``
     that produced that letter, its ``length``, the ``input`` letter, the
     history ``hist`` and a hash computed once.  Extending shares the whole
-    prefix, so ``extend`` costs O(R) for R registers however long the trace
-    is, and siblings extended from one node share it too.  ``letters``,
-    ``choices`` and ``key()`` are read-only views built on demand by walking
-    the chain, in O(length).
+    prefix, so ``extend`` costs O(changed registers) however long the trace
+    is (see ``hist`` below), and siblings extended from one node share it
+    too.  ``letters``, ``choices`` and ``key()`` are read-only views built on
+    demand by walking the chain, in O(length).
 
     Letters share the input's domain and EDB tables and differ only in their
     register valuations.  ``hist`` holds, per register, the values it held at
     all letters except the last, as an immutable ``int`` bitmask: bit 0 for
     blank, bit i+1 for domain element i.  It makes history tests one bit test.
+    It depends on the letters alone.  ``extend`` updates only the masks of
+    the registers whose value changed at the last letter, after one
+    comparison of the last two valuations.
     """
 
     __slots__ = ("parent", "last", "choice", "length", "input", "hist", "_hash")
@@ -119,15 +134,30 @@ class Trace:
         return self.length
 
     def extend(self, letter: Structure, choice: Choice) -> "Trace":
+        # ``hist`` gains the values of ``self.last``.  A register that holds
+        # the value it held one letter earlier has its bit already, so only
+        # changed registers are looked at (at the input letter, all of them);
+        # a mask that has the bit is kept, and so is the tuple when no
+        # register changed.  Plain loops: a generator costs a frame per step.
         prev = self.last
-        # a plain loop: a generator expression costs a frame on every step;
-        # a mask that already has the bit is kept, not copied
-        hist = []
-        for h, v in zip(self.hist, prev.registers):
-            bit = _value_bit(v, prev)
-            hist.append(h if h & bit else h | bit)
+        values, hist = prev.registers, self.hist
+        if self.parent is None:
+            before = (_UNSET,) * len(values)
+        else:
+            before = self.parent.last.registers
+        if values != before:
+            order = prev._dindex
+            hist = list(hist)
+            for i, v in enumerate(values):
+                # an equal value held by another object sets a bit already set
+                if v is not before[i]:
+                    bit = 1 if v is None else 2 << order[v]
+                    h = hist[i]
+                    if not h & bit:
+                        hist[i] = h | bit
+            hist = tuple(hist)
         return Trace(
-            self, letter, choice, self.length + 1, self.input, tuple(hist),
+            self, letter, choice, self.length + 1, self.input, hist,
             hash((self._hash, letter.registers)),
         )
 
@@ -156,11 +186,6 @@ class Trace:
         return f"<Trace len={len(self)}>"
 
 
-def _value_bit(value: Optional[str], letter: Structure) -> int:
-    """History bit of a register value: bit 0 for blank, i+1 for element i."""
-    return 1 if value is None else 2 << letter.element_order(value)
-
-
 def _interp(symbol: str, letter: Structure) -> frozenset[str]:
     if symbol == ADOM:
         raise NonUnarySymbolError("adom cannot be used in equality or history tests")
@@ -187,14 +212,15 @@ def check_bg(p: str, q: str, trace: Trace) -> bool:
     if pi is not None and qi is not None:
         # register vs register: singleton-or-blank sets are equal iff the
         # stored values are, blank included
-        return not trace.hist[qi] & _value_bit(last.registers[pi], last)
+        v = last.registers[pi]
+        return not trace.hist[qi] & (1 if v is None else 2 << last._dindex[v])
     target = _interp(p, last)
     if qi is not None:
         if not target:
             return not trace.hist[qi] & 1
         if len(target) == 1:
             (e,) = target
-            return not trace.hist[qi] & _value_bit(e, last)
+            return not trace.hist[qi] & 2 << last._dindex[e]
         return True  # register interpretations never have two elements
     past = _interp(q, last)  # EDB: constant along the trace
     return len(trace) < 2 or past != target
@@ -259,10 +285,15 @@ def witness_length(w: Witness) -> int:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The answer of a run, with the evaluator's counters (see
+    :class:`Evaluator`)."""
+
     kind: str  # 'yes' | 'no' | 'bound-exceeded'
     witness: Optional[Witness]
     nodes: int
     trace: Optional[Trace] = None
+    exists_calls: int = 0
+    table_hits: int = 0
 
 
 class _Scope:
@@ -291,6 +322,24 @@ class _Unfold:
 # under the unfolding point that is the current scope.
 _AGAIN = object()
 _AGAIN_K = (_AGAIN, None)
+
+
+class _Else:
+    """A preferential union whose left arm is searched in line: the scope
+    of that search, and the entry pushed under its steps that goes on with
+    the ``right`` arm if it found nothing.  ``k`` and ``scope`` are the
+    union's, ``key`` the left arm's table key (``None``: untabled)."""
+
+    __slots__ = ("right", "k", "scope", "key", "hit", "found")
+
+    def __init__(self, right: T.Term, k, scope, key):
+        self.right, self.k, self.scope, self.key = right, k, scope, key
+        self.hit = self.found = False
+
+
+# The continuation of a left arm searched in line: the arm succeeded, so the
+# union is its left arm; go on under the scope the union had.
+_FOUND = object()
 
 
 class _ReplayFail(Exception):
@@ -324,8 +373,11 @@ class Evaluator:
     universal check and none per sequence step, iterate unfolding or letter.
 
     ``nodes`` counts module steps actually expanded.  ``exists_calls``
-    counts universal checks and ``table_hits`` those answered from the
-    table, which expand no node.
+    counts the universal checks made through ``exists`` and ``table_hits``
+    those answered from the table, which expand no node.  The left arm of a
+    union that the search runs in line (see the module docstring) is no
+    ``exists`` call, and a table answer for it is no hit: it is decided by
+    the search itself.
     """
 
     def __init__(self, program: Program, cfg: SearchConfig):
@@ -406,11 +458,34 @@ class Evaluator:
                     if not check_eq(node.left, node.right, trace):
                         break
                 elif cls is T.PrefUnion:
-                    r = self.exists(node.left, trace)
-                    if r is None:
+                    # the left arm is decided directly or from the table, or
+                    # else searched once, in line, under an ``_Else`` scope
+                    left = node.left
+                    r = self._test(left, trace)
+                    if r is _SEARCH:
+                        key = self._key(left, trace)
+                        r = self._table.get(key) if key is not None else None
+                        if r is None:
+                            nxt = _Else(node.right, k, scope, key)
+                            stack.append((nxt, trace, k, scope))
+                            node, k, scope = left, (_FOUND, k), nxt
+                            continue
+                    node = left if r else node.right
+                    continue
+                elif node is _FOUND:  # the left arm of ``scope`` succeeded
+                    if not scope.found:
+                        scope.found = True
+                        if scope.key is not None:
+                            self._table[scope.key] = True
+                    scope = scope.scope
+                elif cls is _Else:  # every step of its left arm is explored
+                    if node.hit:
                         scope.hit = True
+                    if node.hit or node.found:
                         break
-                    node = node.left if r else node.right
+                    if node.key is not None:
+                        self._table[node.key] = False
+                    node = node.right
                     continue
                 elif node is _AGAIN or cls is T.MaxIterate:
                     key = trace.last.registers
@@ -455,19 +530,8 @@ class Evaluator:
             return r
         if trace.input is not self._input:
             self._bind(trace.input)
-        fp = self.program.footprint.get(id(term))
-        key = None
-        if fp is not None:
-            cur, past = fp
-            # Registers outside the footprint stay unchanged and unread along
-            # every extension (milestone comparisons included), so the answer
-            # depends only on this key.
-            key = (
-                id(term),
-                cur(trace.last.registers),
-                past(trace.hist) if past is not None else None,
-                trace.length,
-            )
+        key = self._key(term, trace)
+        if key is not None:
             r = self._table.get(key)
             if r is not None:
                 self.table_hits += 1
@@ -481,6 +545,24 @@ class Evaluator:
         if r is not None and key is not None:
             self._table[key] = r
         return r
+
+    def _key(self, term: T.Term, trace: Trace) -> Optional[tuple]:
+        """The table key of the check of ``term`` on ``trace`` (the
+        evaluator is bound to its input): its footprint from the program's
+        compile step, or ``None`` for a term from outside the program.
+        Registers outside the footprint stay unchanged and unread along
+        every extension (milestone comparisons included), so the answer
+        depends only on this key."""
+        fp = self.program.footprint.get(id(term))
+        if fp is None:
+            return None
+        cur, past = fp
+        return (
+            id(term),
+            cur(trace.last.registers),
+            past(trace.hist) if past is not None else None,
+            trace.length,
+        )
 
     def _test(self, term: T.Term, trace: Trace):
         """Evaluate ``term`` directly on ``trace`` as a test: True or False,
@@ -538,9 +620,11 @@ class Evaluator:
         scope = _Scope()
         start = Trace.initial(input_structure)
         result = next(self.iter_extensions(self.program.core, start, scope), None)
+        counters = dict(exists_calls=self.exists_calls, table_hits=self.table_hits)
         if result is not None:
-            return Verdict("yes", Witness(result.choices, len(result)), self.nodes, trace=result)
-        return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes)
+            witness = Witness(result.choices, len(result))
+            return Verdict("yes", witness, self.nodes, trace=result, **counters)
+        return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes, **counters)
 
     def enumerate(self, input_structure: Structure) -> list[Witness]:
         self._bind(input_structure)

@@ -42,13 +42,8 @@ from .errors import (
 )
 from .modules import ModuleDef, Rule
 from .structures import ADOM, Vocabulary
+from .terms import MAX_NESTING
 from . import terms as T
-
-# How deeply parentheses, keyword arguments and prefix ``~``/``not`` may nest
-# in program text, and universal checks in a compiled program: the parser
-# and the engine recurse once per level, so a program within the bound runs
-# at the interpreter's default recursion limit.
-MAX_NESTING = 100
 
 KEYWORDS = {
     "module", "term", "id", "skip", "fail", "test", "dom", "dia", "not",

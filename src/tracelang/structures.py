@@ -47,7 +47,10 @@ def _check_token(tok: str, what: str, line: int | None = None) -> str:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Relational signature: EDB symbols with arities, register names, domain size."""
+    """Relational signature: EDB symbols with arities, register names, domain size.
+
+    ``register_index`` maps each register name to its position in
+    ``register_symbols``; it is derived, not a field."""
 
     edb_symbols: tuple[tuple[str, int], ...]
     register_symbols: tuple[str, ...]
@@ -71,7 +74,8 @@ class Vocabulary:
             seen.add(name)
         if self.domain_size < 0:
             raise ParseError("domain size must be nonnegative")
-        object.__setattr__(self, "_rindex", {n: i for i, n in enumerate(self.register_symbols)})
+        # a plain attribute, not a property: the engine reads it per test
+        object.__setattr__(self, "register_index", {n: i for i, n in enumerate(self.register_symbols)})
 
     def arity(self, symbol: str) -> int:
         if symbol == ADOM:
@@ -95,10 +99,6 @@ class Vocabulary:
     def is_unary(self, symbol: str) -> bool:
         """True for declared symbols of arity 1 (register or unary EDB)."""
         return self.is_declared(symbol) and self.arity(symbol) == 1
-
-    @property
-    def register_index(self) -> dict[str, int]:
-        return self._rindex
 
 
 class Structure:

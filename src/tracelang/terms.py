@@ -9,6 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ParseError
+
+# How deeply parentheses, keyword arguments and prefix ``~``/``not`` may nest
+# in program text, and universal checks in a compiled program: the parser,
+# ``desugar`` and the engine recurse once per level, so a program within the
+# bound runs at the interpreter's default recursion limit.
+MAX_NESTING = 100
+
 
 class Term:
     """Base class for surface and core term nodes."""
@@ -143,26 +151,48 @@ class Pow(Term):
 # What the parser nests without bound: the left arm of a ``;``/``and``/
 # ``<+``/``or`` chain and the body of a ``^`` chain.
 _SPINE = (Seq, And, PrefUnion, Or, MaxIterate)
+_CHAIN = (Seq, And, PrefUnion, Or)
+_UNION = (PrefUnion, Or)
 
 
-def desugar(t: Term) -> Term:
+def _parenthesized(node: Term, part: Term, right: bool = False) -> bool:
+    """Whether program text must parenthesize ``part`` as the body or an arm
+    (``right``: the right arm) of the spine node ``node``."""
+    if type(node) is MaxIterate:
+        return isinstance(part, _CHAIN)
+    if type(node) is Seq or type(node) is And:
+        return isinstance(part, _CHAIN if right else _UNION)
+    return right and isinstance(part, _UNION)
+
+
+def desugar(t: Term, depth: int = 0) -> Term:
     """Rewrite surface constructs into the eight core constructors.
 
     A core-shaped (sub)term is returned as it is, the same object.  The
     left spine of ``;``/``<+`` chains and ``^`` chains is walked in a loop,
     so a long written-out chain costs no recursion; every other part is
     nested only within parentheses, keyword arguments or prefix operators.
+
+    ``depth`` is the nesting of ``t`` as the parser counts it in program
+    text: one level per prefix operator, keyword argument, and chain that
+    text must parenthesize.  Past ``MAX_NESTING`` levels, where the parser
+    would have refused the text, a term built directly raises
+    ``ParseError`` (TooDeep) instead of recursing past the interpreter's
+    limit.  A level costs at most five Python frames (a union's right arm,
+    a ``;`` chain's right arm, then an ``if`` condition).
     """
     spine = []
     while isinstance(t, _SPINE):
-        spine.append(t)
-        t = t.term if type(t) is MaxIterate else t.left
-    out = _desugar_part(t)
-    for node in reversed(spine):
+        spine.append((t, depth))
+        part = t.term if type(t) is MaxIterate else t.left
+        depth += _parenthesized(t, part)
+        t = part
+    out = _desugar_part(t, depth)
+    for node, depth in reversed(spine):
         if type(node) is MaxIterate:
             out = node if out is node.term else MaxIterate(out)
             continue
-        right = desugar(node.right)
+        right = desugar(node.right, depth + _parenthesized(node, node.right, right=True))
         if type(node) is And:
             out = Seq(out, right)
         elif type(node) is Or:
@@ -174,37 +204,35 @@ def desugar(t: Term) -> Term:
     return out
 
 
-def _desugar_part(t: Term) -> Term:
-    """``desugar`` of a term that is not on a spine."""
+def _desugar_part(t: Term, depth: int) -> Term:
+    """``desugar`` of a term that is not on a spine, ``depth`` levels deep."""
+    if depth > MAX_NESTING:
+        raise ParseError(f"TooDeep: term is nested more than {MAX_NESTING} levels deep")
+    inner = depth + 1
     match t:
         case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
             return t
         case AntiDomain(u):
-            d = desugar(u)
+            d = desugar(u, inner)
             return t if d is u else AntiDomain(d)
         case Skip():
             return Id()
         case Fail():
             return AntiDomain(Id())
-        case Test(u):
-            return AntiDomain(AntiDomain(desugar(u)))
-        case Dom(u):
-            return AntiDomain(AntiDomain(desugar(u)))
+        case Test(u) | Dom(u):
+            return _test(u, inner)
         case Dia(u, cond):
-            return AntiDomain(AntiDomain(Seq(desugar(u), desugar(cond))))
+            return AntiDomain(AntiDomain(Seq(desugar(u, inner), desugar(cond, inner))))
         case Not(u):
-            return AntiDomain(desugar(u))
+            return AntiDomain(desugar(u, inner))
         case If(cond, then, orelse):
-            return PrefUnion(
-                Seq(desugar(Test(cond)), desugar(then)),
-                desugar(orelse),
-            )
+            return PrefUnion(Seq(_test(cond, inner), desugar(then, inner)), desugar(orelse, inner))
         case While(cond, body):
-            phi = desugar(Test(cond))
-            return Seq(MaxIterate(Seq(phi, desugar(body))), AntiDomain(phi))
+            phi = _test(cond, inner)
+            return Seq(MaxIterate(Seq(phi, desugar(body, inner))), AntiDomain(phi))
         case Repeat(body, cond):
-            phi = desugar(Test(cond))
-            core_body = desugar(body)
+            phi = _test(cond, inner)
+            core_body = desugar(body, inner)
             return Seq(core_body, Seq(MaxIterate(Seq(AntiDomain(phi), core_body)), phi))
         case Pow(u, n):
             if n < 0:
@@ -213,7 +241,7 @@ def _desugar_part(t: Term) -> Term:
                 return Id()
             # binary powers that share their halves: at most 2*log2(n) Seq
             # nodes; ``;`` is associative, so the steps run in the same order
-            power, out = desugar(u), None
+            power, out = desugar(u, inner), None
             while True:
                 if n & 1:
                     out = power if out is None else Seq(out, power)
@@ -223,6 +251,11 @@ def _desugar_part(t: Term) -> Term:
                 power = Seq(power, power)
         case _:
             raise TypeError(f"not a term: {t!r}")
+
+
+def _test(t: Term, depth: int) -> Term:
+    """``desugar(Test(t))``, with ``t`` at ``depth``."""
+    return AntiDomain(AntiDomain(desugar(t, depth)))
 
 
 # --- pretty printing --------------------------------------------------------

@@ -266,6 +266,11 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
         cfg = SearchConfig.for_run(prog, s)
         verdict = run_main_task(prog, s, cfg)
         assert verdict.kind == "yes" and witness_length(verdict.witness) == j
+        # the deterministic count next to the timing: replay expands exactly
+        # one node per certificate step, and its checks expand none
+        replayer = Evaluator(prog, cfg)
+        replayer.replay(s, verdict.witness)
+        assert replayer.nodes == j
         certificates[j] = (prog, verdict.witness, cfg)
     rng = random.Random(8)
     order = list(certificates)

@@ -151,15 +151,18 @@ def test_json_report_is_stable(even_files, capsys):
     assert first == second
     report = json.loads(first)
     assert list(report) == sorted(report)
-    assert set(report) == {"k", "max_trace_length", "node_budget", "nodes_explored", "trace_length", "verdict"}
+    assert set(report) == {
+        "exists_calls", "k", "max_trace_length", "node_budget", "nodes_explored", "table_hits",
+        "trace_length", "verdict",
+    }
 
 
 def test_run_report_keys(even_files, tmp_path, capsys):
     args = ["run", "--program", even_files["program"], "--structure", even_files[4], "--format", "json"]
     assert main(args + ["--witness", str(tmp_path / "w.json")]) == 0
     assert set(json.loads(capsys.readouterr().out)) == {
-        "k", "max_trace_length", "node_budget", "nodes_explored", "trace_length", "verdict",
-        "wall_seconds", "witness_length", "witness_path",
+        "exists_calls", "k", "max_trace_length", "node_budget", "nodes_explored", "table_hits",
+        "trace_length", "verdict", "wall_seconds", "witness_length", "witness_path",
     }
 
 

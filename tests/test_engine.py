@@ -25,7 +25,7 @@ from tracelang.lab import UNKNOWN, is_defined
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
 from tracelang.parser import MAX_NESTING, Program, parse_program
 
-from helpers import random_core_term, random_program, random_structure, structure_of
+from helpers import random_core_term, random_modules, random_program, random_structure, structure_of
 
 
 def _program(text, structure):
@@ -636,6 +636,113 @@ def test_exists_matches_the_nested_search_on_terms_with_modules():
         assert r is None or oracle is UNKNOWN or r == oracle
 
 
+def _reference_extensions(ev, term, trace, scope):
+    """The search with unfused unions: a recursive generator that checks the
+    left arm of a ``<+`` with ``exists`` and then enumerates the arm it
+    chose, so a left arm that holds is searched twice."""
+    cls = type(term)
+    if cls is T.ModuleRef:
+        if trace.length >= ev.cfg.max_trace_length:
+            scope.hit = True
+            return
+        for letter, choice in ev._successors(term.name, trace.last):
+            if ev.cfg.node_budget is not None and ev.nodes >= ev.cfg.node_budget:
+                scope.hit = True
+                return
+            ev.nodes += 1
+            yield trace.extend(letter, choice)
+    elif cls is T.Seq:
+        for u in _reference_extensions(ev, term.left, trace, scope):
+            yield from _reference_extensions(ev, term.right, u, scope)
+    elif cls is T.PrefUnion:
+        r = ev.exists(term.left, trace)
+        if r is None:
+            scope.hit = True
+        else:
+            yield from _reference_extensions(ev, term.left if r else term.right, trace, scope)
+    elif cls is T.MaxIterate:
+        yield from _reference_iterate(ev, term.term, trace, {trace.last.registers}, scope)
+    elif cls is T.AntiDomain:
+        r = ev.exists(term.term, trace)
+        if r is None:
+            scope.hit = True
+        elif not r:
+            yield trace
+    elif cls is T.Id or ev._test(term, trace):
+        yield trace
+
+
+def _reference_iterate(ev, body, trace, seen, scope):
+    sub, stepped = engine._Scope(), False
+    for u in _reference_extensions(ev, body, trace, sub):
+        stepped = True
+        key = u.last.registers
+        if key not in seen:
+            seen.add(key)
+            yield from _reference_iterate(ev, body, u, seen, scope)
+            seen.discard(key)
+    scope.hit = scope.hit or sub.hit
+    if not stepped and not sub.hit:
+        yield trace
+
+
+def _union_term(rng, names, depth):
+    """Random core term whose unions mostly have a module in their left arm."""
+    if depth <= 0 or rng.random() < 0.2:
+        return T.ModuleRef(rng.choice(names)) if rng.random() < 0.4 else random_core_term(rng, names, 0)
+    sub = lambda: _union_term(rng, names, depth - 1)  # noqa: E731
+    kind = rng.choice(["seq", "union", "union", "anti", "iter"])
+    if kind == "seq":
+        return T.Seq(sub(), sub())
+    if kind == "union":
+        left = T.Seq(T.ModuleRef(rng.choice(names)), sub()) if rng.random() < 0.7 else sub()
+        return T.PrefUnion(left, sub())
+    return (T.AntiDomain if kind == "anti" else T.MaxIterate)(sub())
+
+
+def test_fused_unions_match_the_unfused_reference():
+    # The search runs the left arm of a <+ in line, once; the reference
+    # checks it with exists and then enumerates it.  Under length bounds
+    # every verdict, witness, enumeration and extension set, completeness
+    # included, is the same, and the search expands no more nodes; under
+    # node budgets every definite answer is the same.
+    rng = random.Random(71)
+    fewer = 0
+    for _ in range(400):
+        s = random_structure(rng)
+        modules = random_modules(rng)
+        prog = Program(s.vocabulary, modules, _union_term(rng, sorted(modules), 4))
+        trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
+        for budget in (None, rng.choice([3, 10, 30])):
+            cfg = SearchConfig(k=2, max_trace_length=rng.randint(2, 5), node_budget=budget)
+            ev, ref = Evaluator(prog, cfg), Evaluator(prog, cfg)
+            verdict = ev.run(s)
+            scope = engine._Scope()
+            first = next(_reference_extensions(ref, prog.core, Trace.initial(s), scope), None)
+            kind = "yes" if first is not None else "bound-exceeded" if scope.hit else "no"
+            exts, complete = Evaluator(prog, cfg).extensions(prog.core, trace)
+            ref_ev, scope = Evaluator(prog, cfg), engine._Scope()
+            ref_exts = list(_reference_extensions(ref_ev, prog.core, trace, scope))
+            if budget is None:
+                assert verdict.kind == kind and verdict.nodes <= ref.nodes
+                fewer += verdict.nodes < ref.nodes
+                if first is not None:
+                    assert verdict.witness == Witness(first.choices, len(first))
+                assert [t.key() for t in exts] == [t.key() for t in ref_exts]
+                assert complete == (not scope.hit)
+                witnesses = Evaluator(prog, cfg).enumerate(s)
+                ref_ev, keys = Evaluator(prog, cfg), {}
+                for t in _reference_extensions(ref_ev, prog.core, Trace.initial(s), engine._Scope()):
+                    keys.setdefault(t.key(), Witness(t.choices, len(t)))
+                assert witnesses == list(keys.values())[: cfg.witness_limit]
+            else:
+                if "bound-exceeded" not in (verdict.kind, kind):
+                    assert verdict.kind == kind
+                if complete and not scope.hit:
+                    assert {t.key() for t in exts} == {t.key() for t in ref_exts}
+    assert fewer > 0
+
+
 def test_table_holds_no_inconclusive_answer():
     # Runs that hit the length bound or the node budget leave only definite
     # answers in the table.
@@ -820,11 +927,16 @@ def test_programs_past_the_nesting_bound_are_rejected():
             _near_the_default_limit(lambda: _program(text, s))
     # a Program built directly is compiled the same way, and refused by a
     # run, a replay and a check: no check depth is configured, so the TooDeep
-    # diagnostic is what keeps it from recursing past the limit
+    # diagnostic is what keeps it from recursing past the limit.  The checks
+    # here nest one level deeper than the terms do (a term nested past the
+    # bound is refused while it is built, see the next test).
     cfg, start = _cfg(guess, s), Trace.initial(s)
-    anti, union = T.ModuleRef("GuessP"), T.ModuleRef("GuessP")
+    anti = T.PrefUnion(T.ModuleRef("GuessP"), T.ModuleRef("GuessP"))
+    union = T.ModuleRef("GuessP")
+    for _ in range(deep - 1):
+        anti = T.AntiDomain(anti)
     for _ in range(deep):
-        anti, union = T.AntiDomain(anti), T.PrefUnion(union, T.ModuleRef("GuessP"))
+        union = T.PrefUnion(union, T.ModuleRef("GuessP"))
     for main in (anti, union):
         prog = Program(s.vocabulary, guess.modules, main)
         assert prog.check_depth == deep and prog.diagnostics
@@ -838,19 +950,61 @@ def test_programs_past_the_nesting_bound_are_rejected():
                 _near_the_default_limit(call)
 
 
+def test_a_term_built_past_the_nesting_bound_is_refused_while_it_is_built():
+    # desugar counts the nesting of a term built directly as the parser
+    # counts it in text and refuses it past the bound, with TooDeep, instead
+    # of recursing past the interpreter's limit
+    s = structure_of(("a", "b"), registers=("P",))
+    modules = guess_program(s).modules
+    g = T.ModuleRef("GuessP")
+
+    def nested(wrap, n):
+        t = g
+        for _ in range(n):
+            t = wrap(t)
+        return t
+
+    def build(t):
+        return _near_the_default_limit(lambda: Program(s.vocabulary, modules, t))
+
+    shapes = [
+        T.AntiDomain,
+        T.Not,
+        T.Test,
+        lambda t: T.Pow(t, 2),
+        lambda t: T.Seq(g, t),
+        lambda t: T.PrefUnion(g, T.PrefUnion(t, g)),
+        lambda t: T.Seq(g, T.MaxIterate(T.Seq(t, g))),
+        lambda t: T.PrefUnion(g, T.Seq(T.PrefUnion(t, g), g)),
+        lambda t: T.If(T.EqTest("P", "P"), t, T.Id()),
+        lambda t: T.PrefUnion(g, T.Seq(g, T.AntiDomain(t))),
+        # the most Python frames a level costs: five
+        lambda t: T.PrefUnion(g, T.Seq(g, T.If(t, T.Id(), T.Id()))),
+    ]
+    for wrap in shapes:
+        build(nested(wrap, MAX_NESTING))
+        with pytest.raises(ParseError, match="TooDeep"):
+            build(nested(wrap, 2000))
+    # the same bound as for text: ~ nested 100 deep builds, 101 deep does not
+    assert build(nested(T.AntiDomain, MAX_NESTING)).check_depth == MAX_NESTING
+    with pytest.raises(ParseError, match="TooDeep"):
+        build(nested(T.AntiDomain, MAX_NESTING + 1))
+
+
 def test_a_preferential_union_chain_searches_each_arm_once():
-    # The exists table keys on no check level, so the left arm a chain of
-    # <+ checks one level deeper is answered from the table when the search
-    # goes on with it: one node per arm, and each nested search asks only
-    # the arms below it.
+    # The search runs the left arm of each <+ in line, once, instead of
+    # checking it in a nested search and then enumerating it: the first
+    # step of the innermost arm succeeds through all 100 unions, with no
+    # exists call, and tables each left arm as defined.
     s = structure_of(("a", "b"), registers=("P",))
     prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: " + " <+ ".join(["GuessP"] * 101), s)
     assert prog.check_depth == MAX_NESTING
     ev = Evaluator(prog, _cfg(prog, s))
     verdict = ev.run(s)
-    assert verdict.kind == "yes" and verdict.nodes == 101
+    assert verdict.kind == "yes" and verdict.nodes == 1
     assert verdict.witness == Witness((Choice("GuessP", (("P", "a"),)),), 2)
-    assert ev.exists_calls <= 5050
+    assert ev.exists_calls == 0 and ev.table_hits == 0
+    assert len(ev._table) == 100 and all(ev._table.values())
 
 
 def test_a_long_written_out_chain_builds_and_decides_at_the_default_limit():

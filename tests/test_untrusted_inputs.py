@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelang.errors import ParseError, TraceLangError
-from tracelang.parser import MAX_NESTING, parse_program
+from tracelang.parser import MAX_NESTING, parse_program, parse_term
+from tracelang.terms import desugar
 from tracelang.structures import parse_structure
 from tracelang.witness_io import text_hash, verify_witness_file, witness_from_json
 
@@ -66,6 +67,26 @@ def test_deeply_nested_terms_raise_only_tracelang_errors(wrappers, core):
     for wrapper in wrappers:
         term = wrapper.format(term)
     _assert_parses_or_refuses(MODULES + "term: " + term + "\n")
+
+
+@budget
+@given(
+    st.integers(MAX_NESTING - 20, 3 * MAX_NESTING // 2).flatmap(
+        lambda n: st.lists(_WRAPPERS, min_size=n, max_size=n)
+    ),
+    st.sampled_from(["GuessP", "id", "P == Q"]),
+)
+def test_desugar_refuses_no_term_the_parser_accepts(wrappers, core):
+    # desugar bounds the nesting of a term as the parser counts it in text,
+    # so a parsed term is never too deep for it
+    term = core
+    for wrapper in wrappers:
+        term = wrapper.format(term)
+    try:
+        parsed = parse_term(term)
+    except ParseError:
+        return
+    desugar(parsed)
 
 
 # words and separators of the structure language, so that random text gets
