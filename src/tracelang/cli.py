@@ -7,10 +7,11 @@ Exit codes are the scripting contract:
 * ``equiv``:  0 equivalent, 1 not equivalent, 2 unknown under bounds
 * ``suite``:  0 iff every instance agreed with its oracle and no run hit
   a bound
-* every command: 64 usage or parse errors, 70 an internal error (any
-  exception that is not a ``TraceLangError``), reported on stderr by its
-  traceback and ``internal error: <type>: <message>``, so that a crash
-  never reads as a verdict
+* every command: 64 bad input (usage errors, any ``TraceLangError``, files
+  that cannot be read or written), after ``error: <message>`` on stderr;
+  70 any other exception, after its traceback and ``internal error: <type>:
+  <message>``, so that a crash never reads as a verdict.  ``main`` alone
+  turns errors into exit codes.
 
 ``--format json`` emits key-sorted JSON; with ``--no-timing`` the report is
 byte-identical across runs on identical inputs.  ``run`` reports its verdict,
@@ -90,24 +91,20 @@ def _emit(report: dict, fmt: str, no_timing: bool) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        structure_text = _read(args.structure)
-        program_text = _read(args.program)
-        structure = parse_structure(structure_text)
-        program = parse_program(program_text, structure.vocabulary)
-        cfg = SearchConfig.for_run(
-            program,
-            structure,
-            k=args.k,
-            max_trace_length=args.max_len,
-            node_budget=_node_budget(),
-        )
-        start = time.perf_counter()
-        verdict = run_main_task(program, structure, cfg)
-        elapsed = time.perf_counter() - start
-    except (TraceLangError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    structure_text = _read(args.structure)
+    program_text = _read(args.program)
+    structure = parse_structure(structure_text)
+    program = parse_program(program_text, structure.vocabulary)
+    cfg = SearchConfig.for_run(
+        program,
+        structure,
+        k=args.k,
+        max_trace_length=args.max_len,
+        node_budget=_node_budget(),
+    )
+    start = time.perf_counter()
+    verdict = run_main_task(program, structure, cfg)
+    elapsed = time.perf_counter() - start
     report = {
         "verdict": verdict.kind,
         "trace_length": verdict.witness.final_length if verdict.witness else None,
@@ -129,31 +126,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        program_text = _read(args.program)
-        structure_text = _read(args.structure)
-        witness_text = _read(args.witness)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    program_text = _read(args.program)
+    structure_text = _read(args.structure)
+    witness_text = _read(args.witness)
     ok, reason = verify_witness_file(program_text, structure_text, witness_text)
     print(f"{'valid' if ok else 'invalid'}: {reason}")
     return 0 if ok else 1
 
 
 def cmd_equiv(args) -> int:
-    try:
-        structure = parse_structure(_read(args.structure))
-        program = parse_program(_read(args.program), structure.vocabulary)
-        left = parse_term(args.left)
-        right = parse_term(args.right)
-        cfg = SearchConfig.for_run(program, structure, k=args.k, max_trace_length=args.max_len)
-        bases = [Trace.initial(structure)]
-        check = strongly_equivalent if args.mode == "strong" else before_after_equivalent
-        result = check(program, left, right, bases, cfg)
-    except (TraceLangError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    structure = parse_structure(_read(args.structure))
+    program = parse_program(_read(args.program), structure.vocabulary)
+    left = parse_term(args.left)
+    right = parse_term(args.right)
+    cfg = SearchConfig.for_run(program, structure, k=args.k, max_trace_length=args.max_len)
+    bases = [Trace.initial(structure)]
+    check = strongly_equivalent if args.mode == "strong" else before_after_equivalent
+    result = check(program, left, right, bases, cfg)
     label = "Unknown" if result is UNKNOWN else str(result)
     print(
         f"{label} (mode={args.mode}, bases={len(bases)}, "
@@ -287,7 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except TraceLangError as e:
+    except (TraceLangError, OSError) as e:  # bad input or an unreadable or unwritable file
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:  # a crash must not exit with a verdict's code

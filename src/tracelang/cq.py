@@ -82,8 +82,9 @@ class _Plan:
     head_step: int
 
 
-@lru_cache(maxsize=1024)
-def _compile(body: CQBody, vocab: Vocabulary) -> _Plan:
+def compile_body(body: CQBody, vocab: Vocabulary) -> _Plan:
+    """The join plan of ``body`` over ``vocab``; raises ``UnknownSymbolError``,
+    ``ArityError`` or ``HeadVarUnusedError`` for a body that does not fit."""
     for atom in body.atoms:
         if atom.symbol != ADOM and not vocab.is_declared(atom.symbol):
             raise UnknownSymbolError(f"unknown symbol {atom.symbol}")
@@ -137,6 +138,12 @@ def _compile(body: CQBody, vocab: Vocabulary) -> _Plan:
     return _Plan(tuple(steps), tuple(env), slots[body.head_var], head_step)
 
 
+# Evaluation's plans.  The parser memoizes its checks apart, so each key here
+# holds the objects a run passes, and a lookup with the very objects of its
+# key skips comparing them field by field, which costs more than the rest.
+_plan = lru_cache(maxsize=1024)(compile_body)
+
+
 def _index(s: Structure, symbol: str, positions: tuple[int, ...]) -> dict:
     """Hash index of one EDB table by the values at ``positions``."""
     key = (symbol, positions)
@@ -153,10 +160,9 @@ def evaluate_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
     """Answer set of the body on ``s``: all head-variable values with a match.
 
     Register atoms hold only when the register is non-blank; ``adom`` holds of
-    every domain element.  Raises ``UnknownSymbolError`` or ``ArityError`` for
-    an atom that does not fit the vocabulary.
+    every domain element.  Raises as :func:`compile_body` does.
     """
-    plan = _compile(body, s.vocabulary)
+    plan = _plan(body, s.vocabulary)
     steps = plan.steps
     nsteps = len(steps)
     head_slot, head_step = plan.head_slot, plan.head_step

@@ -46,15 +46,13 @@ from typing import Iterator, Optional
 from .errors import (
     ChoiceMismatchError,
     InvalidParamsError,
-    NonUnarySymbolError,
-    StaleChoiceError,
     TraceLangError,
     UnknownSymbolError,
     VocabularyMismatchError,
 )
 from .modules import Choice, apply_choice, successor_choices
 from .parser import Program, check_constants
-from .structures import ADOM, Structure
+from .structures import Structure
 from . import terms as T
 
 
@@ -186,12 +184,6 @@ class Trace:
         return f"<Trace len={len(self)}>"
 
 
-def _interp(symbol: str, letter: Structure) -> frozenset[str]:
-    if symbol == ADOM:
-        raise NonUnarySymbolError("adom cannot be used in equality or history tests")
-    return letter.interp(symbol)
-
-
 def check_eq(p: str, q: str, trace: Trace) -> bool:
     """True iff the set interpretations of ``p`` and ``q`` coincide at the
     last letter (a blank register is the empty set)."""
@@ -200,7 +192,7 @@ def check_eq(p: str, q: str, trace: Trace) -> bool:
     pi, qi = rindex.get(p), rindex.get(q)
     if pi is not None and qi is not None:
         return last.registers[pi] == last.registers[qi]
-    return _interp(p, last) == _interp(q, last)
+    return last.interp(p) == last.interp(q)
 
 
 def check_bg(p: str, q: str, trace: Trace) -> bool:
@@ -214,7 +206,7 @@ def check_bg(p: str, q: str, trace: Trace) -> bool:
         # stored values are, blank included
         v = last.registers[pi]
         return not trace.hist[qi] & (1 if v is None else 2 << last._dindex[v])
-    target = _interp(p, last)
+    target = last.interp(p)
     if qi is not None:
         if not target:
             return not trace.hist[qi] & 1
@@ -222,7 +214,7 @@ def check_bg(p: str, q: str, trace: Trace) -> bool:
             (e,) = target
             return not trace.hist[qi] & 2 << last._dindex[e]
         return True  # register interpretations never have two elements
-    past = _interp(q, last)  # EDB: constant along the trace
+    past = last.interp(q)  # EDB: constant along the trace
     return len(trace) < 2 or past != target
 
 
@@ -340,10 +332,6 @@ class _Else:
 # The continuation of a left arm searched in line: the arm succeeded, so the
 # union is its left arm; go on under the scope the union had.
 _FOUND = object()
-
-
-class _ReplayFail(Exception):
-    pass
 
 
 # What ``Evaluator._test`` answers when only a search can decide a check.
@@ -645,7 +633,8 @@ class Evaluator:
     # --- replay ------------------------------------------------------------
 
     def replay(self, input_structure: Structure, witness: Witness) -> Trace:
-        """Deterministically re-derive the witness trace; raises on failure.
+        """Deterministically re-derive the witness trace; raises
+        ``ChoiceMismatchError`` when the certificate does not replay.
 
         Every guess is dictated by the certificate; at each point exactly one
         rule applies, so no search over choices happens.  Universal checks
@@ -656,21 +645,21 @@ class Evaluator:
 
         A failure's message starts with ``at choice i:``, where ``i`` is the
         number of choices replayed before it (the index of the failing one).
+        Each replayed choice adds one letter, so the checks of
+        ``final_length`` up front keep the trace within the length bound.
         An invalid program raises as it does for a run, before any replay.
         """
         _check_input(self.program, input_structure)
         chooser = _Chooser(witness.choices)
         try:
             if witness.final_length != 1 + len(witness.choices):
-                raise _ReplayFail("final_length does not match the number of choices")
+                raise ChoiceMismatchError("final_length does not match the number of choices")
             if witness.final_length > self.cfg.max_trace_length:
-                raise _ReplayFail("certificate exceeds the configured length bound")
+                raise ChoiceMismatchError("certificate exceeds the configured length bound")
             trace = self._replay(self.program.core, Trace.initial(input_structure), chooser)
             if not chooser.exhausted():
-                raise _ReplayFail("certificate has more choices than the derivation uses")
-            if len(trace) != witness.final_length:
-                raise _ReplayFail("replayed trace length differs from final_length")
-        except (_ReplayFail, ChoiceMismatchError) as e:
+                raise ChoiceMismatchError("certificate has more choices than the derivation uses")
+        except ChoiceMismatchError as e:
             raise type(e)(f"at choice {chooser.pos}: {e}") from None
         return trace
 
@@ -684,17 +673,12 @@ class Evaluator:
                 case T.Id():
                     pass
                 case T.ModuleRef(name):
-                    if len(trace) + 1 > self.cfg.max_trace_length:
-                        raise _ReplayFail("length bound reached during replay")
                     choice = chooser.peek()
                     if choice.module != name:
                         raise ChoiceMismatchError(
                             f"certificate names module {choice.module}, derivation needs {name}"
                         )
-                    try:
-                        letter = apply_choice(trace.last, choice, self.program.modules[name])
-                    except StaleChoiceError as e:
-                        raise ChoiceMismatchError(str(e)) from None
+                    letter = apply_choice(trace.last, choice, self.program.modules[name])
                     chooser.pos += 1
                     self.nodes += 1
                     trace = trace.extend(letter, choice)
@@ -704,13 +688,13 @@ class Evaluator:
                 case T.AntiDomain(a):
                     r = self.exists(a, trace)
                     if r is not False:
-                        raise _ReplayFail(
+                        raise ChoiceMismatchError(
                             "anti-domain test fails" if r else "anti-domain check inconclusive"
                         )
                 case T.PrefUnion(a, b):
                     r = self.exists(a, trace)
                     if r is None:
-                        raise _ReplayFail("union arm check inconclusive")
+                        raise ChoiceMismatchError("union arm check inconclusive")
                     work.append(a if r else b)
                 case T.MaxIterate(a):
                     seen = {trace.last.registers}
@@ -719,18 +703,18 @@ class Evaluator:
                         if r is False:
                             break
                         if r is None:
-                            raise _ReplayFail("iterate exit check inconclusive")
+                            raise ChoiceMismatchError("iterate exit check inconclusive")
                         trace = self._replay(a, trace, chooser)
                         key = trace.last.registers
                         if key in seen:
-                            raise _ReplayFail("iterate revisits a milestone valuation")
+                            raise ChoiceMismatchError("iterate revisits a milestone valuation")
                         seen.add(key)
                 case T.EqTest(p, q):
                     if not check_eq(p, q, trace):
-                        raise _ReplayFail(f"equality test {p} == {q} fails")
+                        raise ChoiceMismatchError(f"equality test {p} == {q} fails")
                 case T.BackGlobal(p, q):
                     if not check_bg(p, q, trace):
-                        raise _ReplayFail(f"history test BG({p} != {q}) fails")
+                        raise ChoiceMismatchError(f"history test BG({p} != {q}) fails")
                 case other:
                     raise TypeError(f"term is not in core form: {other!r}")
         return trace
@@ -817,5 +801,5 @@ def replay_failure(
     try:
         Evaluator(program, cfg).replay(input_structure, witness)
         return None
-    except (_ReplayFail, ChoiceMismatchError) as e:
+    except ChoiceMismatchError as e:
         return str(e)

@@ -39,10 +39,6 @@ class HeadVarUnusedError(TraceLangError):
     """A query head variable does not occur in the query body."""
 
 
-class StaleChoiceError(TraceLangError):
-    """A choice is applied to a structure where it is not available."""
-
-
 class NonUnarySymbolError(TraceLangError):
     """An equality or history test names a symbol that is not unary."""
 
@@ -52,7 +48,11 @@ class UnknownModuleError(TraceLangError):
 
 
 class ChoiceMismatchError(TraceLangError):
-    """A recorded certificate choice is invalid at replay time."""
+    """A certificate does not replay."""
+
+
+class StaleChoiceError(ChoiceMismatchError):
+    """A choice is applied to a structure where it is not available."""
 
 
 class InvalidParamsError(TraceLangError):

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cq import Atom, CQBody, Const
+from .cq import Atom, CQBody, Const, compile_body
 from .errors import (
     ArityError,
     DuplicateSymbolError,
@@ -41,7 +42,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .modules import ModuleDef, Rule
-from .structures import ADOM, Vocabulary
+from .structures import Vocabulary
 from .terms import MAX_NESTING
 from . import terms as T
 
@@ -90,6 +91,20 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, m.group(), line))
     tokens.append(Token("eof", "", line))
     return tokens
+
+
+# diagnostic code -> the error parse_program raises for it (else ParseError)
+_ERRORS = {
+    "UnknownModule": UnknownModuleError,
+    "UnknownSymbol": UnknownSymbolError,
+    "NonUnarySymbolInTest": NonUnarySymbolError,
+    "HeadVarUnused": HeadVarUnusedError,
+    "ArityMismatch": ArityError,
+}
+_CODES = {error: code for code, error in _ERRORS.items()}
+
+# rule-body checks, memoized apart from the plans runs use (see cq._plan)
+_check_body = lru_cache(maxsize=1024)(compile_body)
 
 
 @dataclass
@@ -390,18 +405,9 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
     if main is None:
         raise ParseError("program has no term directive")
     program = Program(vocabulary, modules, main, source=text)
-    diagnostics = validate_program(program)
-    if diagnostics:
-        d = diagnostics[0]
-        exc = {
-            "UnknownModule": UnknownModuleError,
-            "UnknownSymbol": UnknownSymbolError,
-            "NonUnarySymbolInTest": NonUnarySymbolError,
-            "DuplicateHead": DuplicateSymbolError,
-            "HeadVarUnused": HeadVarUnusedError,
-            "ArityMismatch": ArityError,
-        }.get(d.code, ParseError)
-        raise exc(d.message, d.line)
+    if program.diagnostics:
+        d = program.diagnostics[0]
+        raise _ERRORS.get(d.code, ParseError)(d.message, d.line)
     return program
 
 
@@ -510,40 +516,15 @@ def _compile(program: Program) -> tuple:
 
     diags: list[Diagnostic] = []
     for mod in modules.values():
-        heads = set()
         for rule in mod.rules:
-            if rule.head in heads:
-                diags.append(
-                    Diagnostic("DuplicateHead", f"module {mod.name} writes {rule.head} twice", rule.line)
-                )
-            heads.add(rule.head)
             if not vocab.is_register(rule.head):
                 diags.append(
                     Diagnostic("UnknownSymbol", f"rule head {rule.head} is not a declared register", rule.line)
                 )
-            body_vars = rule.body.variables()
-            if rule.body.head_var not in body_vars:
-                diags.append(
-                    Diagnostic(
-                        "HeadVarUnused",
-                        f"head variable {rule.body.head_var} does not occur in the body of {mod.name}.{rule.head}",
-                        rule.line,
-                    )
-                )
-            for atom in rule.body.atoms:
-                if atom.symbol != ADOM and not vocab.is_declared(atom.symbol):
-                    diags.append(
-                        Diagnostic("UnknownSymbol", f"atom names unknown symbol {atom.symbol}", rule.line)
-                    )
-                    continue
-                if len(atom.args) != vocab.arity(atom.symbol):
-                    diags.append(
-                        Diagnostic(
-                            "ArityMismatch",
-                            f"atom {atom.symbol} has {len(atom.args)} arguments; arity is {vocab.arity(atom.symbol)}",
-                            rule.line,
-                        )
-                    )
+            try:  # the join plan a run evaluates the body with
+                _check_body(rule.body, vocab)
+            except (UnknownSymbolError, ArityError, HeadVarUnusedError) as e:
+                diags.append(Diagnostic(_CODES[type(e)], f"rule {mod.name}.{rule.head}: {e}", rule.line))
     for name in sorted(names - modules.keys()):
         diags.append(Diagnostic("UnknownModule", f"term references undefined module {name}"))
     for sym in sorted(symbols):

@@ -22,7 +22,7 @@ import json
 from typing import Any
 
 from .engine import SearchConfig, Witness, replay_failure
-from .errors import ParseError, UnknownSymbolError
+from .errors import ParseError, TraceLangError
 from .modules import Choice
 from .parser import parse_program
 from .structures import parse_structure
@@ -101,12 +101,10 @@ def verify_witness_file(
     try:
         structure = parse_structure(structure_text)
         program = parse_program(program_text, structure.vocabulary)
-    except Exception as e:  # parse/validation problems in the source texts
-        return False, f"cannot parse inputs: {e}"
-    cfg = SearchConfig.for_run(program, structure, k=doc["k"])
-    try:
+        cfg = SearchConfig.for_run(program, structure, k=doc["k"])
+        # a replay refuses a constant outside the input's domain, as a run does
         failure = replay_failure(program, structure, witness, cfg)
-    except UnknownSymbolError as e:  # a constant outside the input's domain
+    except TraceLangError as e:
         return False, f"cannot parse inputs: {e}"
     if failure is None:
         return True, "witness replays cleanly"

@@ -184,7 +184,7 @@ def test_node_budget_env(even_files, monkeypatch, capsys):
     monkeypatch.delenv("PROMISE_MAX_NODES")
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "equiv", "suite"])
+@pytest.mark.parametrize("command", ["run", "verify", "verify-parse", "equiv", "suite"])
 def test_an_internal_error_exits_70_in_every_command(command, even_files, tmp_path, monkeypatch, capsys):
     # A crash must not exit with a verdict's code (1 reads as no, invalid
     # or not equivalent).
@@ -201,6 +201,7 @@ def test_an_internal_error_exits_70_in_every_command(command, even_files, tmp_pa
     target, argv = {
         "run": ((cli, "run_main_task"), ["run", *files]),
         "verify": ((witness_io, "replay_failure"), ["verify", *files, "--witness", str(witness)]),
+        "verify-parse": ((witness_io, "parse_program"), ["verify", *files, "--witness", str(witness)]),
         "equiv": ((cli, "strongly_equivalent"), ["equiv", *files, "--left", "id", "--right", "id"]),
         "suite": ((cli, "run_main_task"), ["suite", "--problem", "even", "--n-range", "1..2"]),
     }[command]
@@ -208,6 +209,14 @@ def test_an_internal_error_exits_70_in_every_command(command, even_files, tmp_pa
     capsys.readouterr()
     assert main(argv) == 70
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_run_with_a_witness_path_in_a_missing_directory_is_a_usage_error(even_files, tmp_path, capsys):
+    witness = tmp_path / "missing" / "w.json"
+    argv = ["run", "--program", even_files["program"], "--structure", even_files[4]]
+    assert main(argv + ["--witness", str(witness)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("left", ["pow(P == P, 3000) ; GuessP", "pow(dom(GuessP), 3000) ; GuessP"])

@@ -5,7 +5,15 @@ import pytest
 
 from tracelang import terms as T
 from tracelang.engine import Evaluator, SearchConfig, Trace, run_main_task
-from tracelang.errors import NonUnarySymbolError, ParseError, UnknownModuleError, UnknownSymbolError
+from tracelang.errors import (
+    ArityError,
+    HeadVarUnusedError,
+    NonUnarySymbolError,
+    ParseError,
+    UnknownModuleError,
+    UnknownSymbolError,
+    VocabularyMismatchError,
+)
 from tracelang.lab import UNKNOWN, denotational_deltas
 from tracelang.parser import Program, parse_program, parse_term, validate_program
 from tracelang.structures import Vocabulary
@@ -138,8 +146,8 @@ def test_validate_program_diagnostics():
     from tracelang.cq import Atom, CQBody
     from tracelang.parser import Program
 
-    # duplicate rule head caught before ModuleDef construction normally; use a
-    # raw program to exercise the remaining diagnostics
+    # ModuleDef refuses a duplicate rule head; a program built directly
+    # carries every other diagnostic
     prog = Program(
         VOCAB,
         {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))},
@@ -151,6 +159,28 @@ def test_validate_program_diagnostics():
     prog2 = Program(VOCAB, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
     codes2 = {d.code for d in validate_program(prog2)}
     assert {"UnknownModule", "NonUnarySymbolInTest"} <= codes2
+
+
+@pytest.mark.parametrize(
+    "rule, error",
+    [
+        ("Nope(x) <~ adom(x)", UnknownSymbolError),  # the head is no register
+        ("P(x) <~ adom(y)", HeadVarUnusedError),
+        ("P(x) <~ T(x)", ArityError),
+        ("P(x) <~ Undeclared(x)", UnknownSymbolError),
+    ],
+)
+def test_a_bad_rule_is_refused_with_its_line(rule, error):
+    text = f"module Ok {{ Q(x) <~ adom(x) }}\nmodule Bad {{\n  {rule}\n}}\nterm: Ok ; Bad\n"
+    with pytest.raises(error) as info:
+        parse_program(text, VOCAB)
+    assert type(info.value) is error and info.value.line == 3
+
+
+def test_a_run_on_a_structure_of_another_vocabulary_is_refused():
+    program = parse_program("module A { P(x) <~ adom(x) }\nterm: A", VOCAB)
+    with pytest.raises(VocabularyMismatchError):
+        run_main_task(program, structure_of(("a", "b"), registers=("P",)))
 
 
 def test_bundled_programs_validate():

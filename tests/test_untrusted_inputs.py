@@ -7,9 +7,10 @@ import json
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tracelang.errors import ParseError, TraceLangError
+from tracelang.engine import Evaluator, SearchConfig
+from tracelang.errors import ChoiceMismatchError, ParseError, TraceLangError
 from tracelang.parser import MAX_NESTING, parse_program, parse_term
 from tracelang.terms import desugar
 from tracelang.structures import parse_structure
@@ -160,10 +161,26 @@ def test_the_certificate_the_mutants_change_replays():
 
 @budget
 @given(_mutants())
+@example(json.dumps({**_VALID, "final_length": 1}))
 def test_a_single_field_mutant_gets_a_verdict(text):
     ok, reason = verify_witness_file(PROGRAM, STRUCTURE, text)
     assert isinstance(reason, str)
     assert ok is (reason == "witness replays cleanly")
+    # replayed directly, a mutant that parses replays, as it verifies, or
+    # raises ChoiceMismatchError, and nothing else
+    try:
+        witness, doc = witness_from_json(text)
+    except ParseError:
+        return
+    structure = parse_structure(STRUCTURE)
+    program = parse_program(PROGRAM, structure.vocabulary)
+    replayer = Evaluator(program, SearchConfig.for_run(program, structure, k=doc["k"]))
+    try:
+        replayer.replay(structure, witness)
+    except ChoiceMismatchError:
+        assert not ok
+    else:
+        assert ok
 
 
 def test_a_witness_nested_past_the_recursion_limit_is_a_parse_error():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from tracelang.engine import run_main_task
+from tracelang.engine import SearchConfig, Witness, replay_failure, run_main_task
 from tracelang.errors import ParseError
+from tracelang.modules import Choice
 from tracelang.parser import parse_program
 from tracelang.structures import parse_structure
 from tracelang.witness_io import text_hash, verify_witness_file, witness_from_json, witness_to_json
@@ -35,10 +36,9 @@ def test_boolean_integer_fields_are_rejected(field):
     assert not ok and repr(field) in reason
 
 
-CHECKED = (
-    "module GuessP { P(x) <~ adom(x) }\n"
-    "term: pow(GuessP ; BG(P != P), 2) ; ~(GuessP ; BG(P != P))\n"
-)
+GUESS = "module GuessP { P(x) <~ adom(x) }\n"
+CHECKED_TERM = "pow(GuessP ; BG(P != P), 2) ; ~(GuessP ; BG(P != P))"
+CHECKED = f"{GUESS}term: {CHECKED_TERM}\n"
 CHECKED_INPUT = "domain a b\nreg P\n"
 
 
@@ -93,6 +93,17 @@ def test_replay_failures_say_where_and_why():
     def repeated(doc):
         doc["choices"][1]["assignment"]["P"] = doc["choices"][0]["assignment"]["P"]
 
+    def shorter(doc):
+        doc["choices"].pop()
+        doc["final_length"] -= 1
+
+    def extra(doc):
+        doc["choices"].append(doc["choices"][0])
+        doc["final_length"] += 1
+
+    def wrong_register(doc):
+        doc["choices"][0]["assignment"] = {"Q": "a"}
+
     assert reason(stale) == (
         "replay failed at choice 1: choice P=zz is not in the answer set of GuessP"
     )
@@ -104,6 +115,42 @@ def test_replay_failures_say_where_and_why():
     )
     # a failing test after a step: two choices were replayed before it
     assert reason(repeated) == "replay failed at choice 2: history test BG(P != P) fails"
+    assert reason(shorter) == (
+        "replay failed at choice 1: certificate has fewer choices than the derivation needs"
+    )
+    assert reason(extra) == (
+        "replay failed at choice 2: certificate has more choices than the derivation uses"
+    )
+    assert reason(wrong_register) == (
+        "replay failed at choice 0: choice for GuessP writes the wrong registers"
+    )
+
+    def replayed(term, values, structure=CHECKED_INPUT, max_trace_length=None):
+        # a certificate of GuessP guesses, replayed under the given bound
+        s = parse_structure(structure)
+        program = parse_program(f"{GUESS}term: {term}\n", s.vocabulary)
+        witness = Witness(tuple(Choice("GuessP", (("P", v),)) for v in values), 1 + len(values))
+        cfg = SearchConfig.for_run(program, s, max_trace_length=max_trace_length)
+        return replay_failure(program, s, witness, cfg)
+
+    assert replayed(CHECKED_TERM, "ab", max_trace_length=2) == (
+        "at choice 0: certificate exceeds the configured length bound"
+    )
+    # the bound leaves room for the one choice there is, not for the second
+    # one the derivation needs
+    assert replayed(CHECKED_TERM, "a", max_trace_length=2) == (
+        "at choice 1: certificate has fewer choices than the derivation needs"
+    )
+    assert replayed(CHECKED_TERM, "ab", structure="domain a b c\nreg P\n") == (
+        "at choice 2: anti-domain test fails"
+    )
+    assert replayed(CHECKED_TERM, "ab", max_trace_length=3) == "at choice 2: anti-domain check inconclusive"
+    assert replayed("GuessP <+ id", "", max_trace_length=1) == "at choice 0: union arm check inconclusive"
+    assert replayed("GuessP^", "", max_trace_length=1) == "at choice 0: iterate exit check inconclusive"
+    assert replayed("(P == P)^", "") == "at choice 0: iterate revisits a milestone valuation"
+    assert replayed("GuessP ; P == Q", "a", structure="domain a b\nreg P Q\n") == (
+        "at choice 1: equality test P == Q fails"
+    )
 
 
 def test_a_certificate_of_a_program_a_run_refuses_is_invalid():
