@@ -48,7 +48,7 @@ from .terms import (
     desugar,
     pretty,
 )
-from .parser import Program, parse_program, parse_term, validate_program
+from .parser import Program, parse_program, parse_term
 from .engine import (
     Evaluator,
     SearchConfig,

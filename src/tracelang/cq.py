@@ -1,27 +1,41 @@
-"""Unary conjunctive-query evaluation against one structure.
+"""Unary conjunctive queries, compiled to Python functions.
 
 A query body is a conjunction of atoms over EDB symbols, registers and the
 built-in ``adom``; its answer set is the set of domain elements that the head
 variable can take under some assignment of the existential variables.  Module
 guesses pick single elements out of these answer sets.
 
-Each body is compiled once per vocabulary into a join plan, which checks the
-body's symbols and arities: register atoms, which hold at most one tuple,
-come first, then atoms with the most arguments bound.  An EDB atom with some
-arguments bound is answered by one lookup in a hash index keyed by its
-bound-position pattern; an atom with every argument bound is a membership
-test.  Indexes are built lazily over EDB tables only, never over register
-values, and shared by every letter that ``with_registers`` derives from one
-structure: the EDB never changes along a trace.  Every bundled rule body is
-acyclic, so one lookup per bound atom suffices (Yannakakis, VLDB 1981).  The
-answer-set contract does not depend on the strategy.
+Each body is compiled once per vocabulary (:func:`compile_body`), which checks
+its symbols and arities, into two generated functions.  ``answers(s)`` is the
+answer set on ``s``.  ``member(s, e)`` tells whether ``e`` is in it, with the
+head bound first, so that a bound head turns the query into a Boolean check
+(Yannakakis, VLDB 1981).  Both follow a join plan, one nested loop or test
+per atom (Neumann, *Efficiently compiling efficient query plans for modern
+hardware*, PVLDB 2011): atoms with every argument bound come first, as
+membership tests, then register atoms, which hold at most one tuple, then
+atoms with some argument bound, then scans; ties keep body order.  An EDB atom
+with some arguments bound is answered by one lookup in a hash index keyed by
+its bound-position pattern.  Indexes are built lazily over EDB tables only,
+never over register values, and shared by every letter that
+``with_registers`` derives from one structure: the EDB never changes along a
+trace.  Once ``answers`` has bound the head, the atoms left are one
+existential check that stops at its first match, and a head value already
+found skips it.
+
+The generated source contains only slot numbers, argument positions and
+register indexes.  It is generated from the body's shape, the body with its
+symbol names and constants taken out, so no program text can reach it.  The
+names and constants are the arguments of the generated ``make``, which
+returns the two functions closed over them.  ``make`` is memoised on the
+shape: compiling a program again, as every replay of a certificate file
+does, passes it the program's names and skips generating and ``compile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ArityError, HeadVarUnusedError, UnknownSymbolError
 from .structures import ADOM, Structure, Vocabulary
@@ -62,98 +76,38 @@ def free_and_bound_vars(body: CQBody) -> tuple[str, frozenset[str]]:
     return body.head_var, all_vars - {body.head_var}
 
 
-# Step kinds: where an atom's tuples come from.
-_EDB, _REG, _ADOM = 0, 1, 2
+class Query(NamedTuple):
+    """A body compiled against one vocabulary: its ``answers`` and
+    ``member`` functions, the indexes of the registers it reads, and the
+    generated ``source`` they were compiled from."""
+
+    answers: Callable[[Structure], set]
+    member: Callable[[Structure, str], bool]
+    registers: frozenset[int]
+    source: str
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A compiled body.  ``env`` holds one slot per variable and per
-    constant (constants prefilled).  Each step is ``(kind, ref, positions,
-    key_slots, outs)``: ``ref`` is the EDB symbol or register index,
-    ``positions`` the argument positions bound before the step and
-    ``key_slots`` their slots, ``outs`` the ``(position, slot, binds)`` of
-    the other positions in order (``binds`` false: repeated variable, check).
-    ``head_step`` is the step that binds the head variable."""
-
-    steps: tuple[tuple, ...]
-    env: tuple
-    head_slot: int
-    head_step: int
-
-
-def compile_body(body: CQBody, vocab: Vocabulary) -> _Plan:
-    """The join plan of ``body`` over ``vocab``; raises ``UnknownSymbolError``,
-    ``ArityError`` or ``HeadVarUnusedError`` for a body that does not fit."""
-    for atom in body.atoms:
-        if atom.symbol != ADOM and not vocab.is_declared(atom.symbol):
-            raise UnknownSymbolError(f"unknown symbol {atom.symbol}")
-        if len(atom.args) != vocab.arity(atom.symbol):
-            raise ArityError(
-                f"atom {atom.symbol}/{len(atom.args)} does not match arity {vocab.arity(atom.symbol)}"
-            )
-    free_and_bound_vars(body)
-
-    slots: dict[Arg, int] = {}
-    env: list = []
-    for atom in body.atoms:
-        for a in atom.args:
-            if isinstance(a, Const) and a not in slots:
-                slots[a] = len(env)
-                env.append(a.value)
-    bound = set(slots)  # constants are always bound
-
-    def rank(atom: Atom) -> int:
-        if all(a in bound for a in atom.args):
-            return 0  # membership test
-        if vocab.is_register(atom.symbol):
-            return 1  # at most one tuple
-        return 2 if any(a in bound for a in atom.args) else 3  # lookup, scan
-
-    pending = list(body.atoms)
-    steps = []
-    head_step = -1
-    while pending:
-        atom = min(pending, key=rank)  # ties keep body order
-        pending.remove(atom)
-        positions = tuple(i for i, a in enumerate(atom.args) if a in bound)
-        outs = []
-        for i, a in enumerate(atom.args):
-            if a in bound and i not in positions:
-                outs.append((i, slots[a], False))  # repeated within this atom
-            elif a not in bound:
-                slots[a] = len(env)
-                env.append(None)
-                bound.add(a)
-                outs.append((i, slots[a], True))
-        if atom.symbol == ADOM:
-            kind, ref = _ADOM, None
-        elif vocab.is_register(atom.symbol):
-            kind, ref = _REG, vocab.register_index[atom.symbol]
-        else:
-            kind, ref = _EDB, atom.symbol
-        if body.head_var in bound and head_step < 0:
-            head_step = len(steps)
-        steps.append((kind, ref, positions, tuple(slots[atom.args[i]] for i in positions), tuple(outs)))
-    return _Plan(tuple(steps), tuple(env), slots[body.head_var], head_step)
-
-
-# Evaluation's plans.  The parser memoizes its checks apart, so each key here
-# holds the objects a run passes, and a lookup with the very objects of its
-# key skips comparing them field by field, which costs more than the rest.
-_plan = lru_cache(maxsize=1024)(compile_body)
-
-
-def _index(s: Structure, symbol: str, positions: tuple[int, ...]) -> dict:
-    """Hash index of one EDB table by the values at ``positions``."""
-    key = (symbol, positions)
-    index = s._index.get(key)
-    if index is None:
-        index = {}
-        for tup in s.edb[symbol]:
-            index.setdefault(tuple(tup[p] for p in positions), []).append(tup)
-        s._index[key] = index
+def _index(s: Structure, key: tuple[str, tuple[int, ...]]) -> dict:
+    """Hash index of the EDB table ``key[0]`` by the values at the positions
+    ``key[1]``, built on first use."""
+    symbol, positions = key
+    index: dict = {}
+    for tup in s.edb[symbol]:
+        index.setdefault(tuple(tup[p] for p in positions), []).append(tup)
+    s._index[key] = index
     return index
+
+
+def compile_body(body: CQBody, vocab: Vocabulary) -> Query:
+    """Compile ``body`` over ``vocab``; raises ``UnknownSymbolError``,
+    ``ArityError`` or ``HeadVarUnusedError`` for a body that does not fit."""
+    shape, symbols, constants = _shape(body, vocab)
+    make, refs, registers, source = _generate(shape)
+    answers, member = make(*[
+        constants[n] if tag == "c" else symbols[n] if positions is None else (symbols[n], positions)
+        for tag, n, positions in refs
+    ])
+    return Query(answers, member, registers, source)
 
 
 def evaluate_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
@@ -162,43 +116,214 @@ def evaluate_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
     Register atoms hold only when the register is non-blank; ``adom`` holds of
     every domain element.  Raises as :func:`compile_body` does.
     """
-    plan = _plan(body, s.vocabulary)
-    steps = plan.steps
-    nsteps = len(steps)
-    head_slot, head_step = plan.head_slot, plan.head_step
-    env = list(plan.env)
-    answers: set[str] = set()
+    return frozenset(compile_body(body, s.vocabulary).answers(s))
 
-    def rec(i: int) -> None:
-        if i == nsteps:
-            answers.add(env[head_slot])
+
+# Atom kinds: where an atom's tuples come from.
+_EDB, _REG, _ADOM = 0, 1, 2
+
+
+def _shape(body: CQBody, vocab: Vocabulary) -> tuple[tuple, tuple, tuple]:
+    """``(shape, symbols, constants)``: the body with its names taken out,
+    and the names.  The shape is ``(head, atoms)``, each atom ``(kind, ref,
+    args)``: ``ref`` is the register index, or the EDB symbol's number in
+    ``symbols``; an argument is a variable's number, or ``~n`` for the
+    constant ``constants[n]``.  Checks the symbols, arities and head."""
+    arities = dict(vocab.edb_symbols)
+    variables: dict = {}
+    edb: dict = {}
+    consts: dict = {}
+    atoms = []
+    for atom in body.atoms:
+        symbol = atom.symbol
+        if symbol == ADOM:
+            kind, ref, arity = _ADOM, None, 1
+        elif symbol in vocab.register_index:
+            kind, ref, arity = _REG, vocab.register_index[symbol], 1
+        elif symbol in arities:
+            kind, ref, arity = _EDB, edb.setdefault(symbol, len(edb)), arities[symbol]
+        else:
+            raise UnknownSymbolError(f"unknown symbol {symbol}")
+        if len(atom.args) != arity:
+            raise ArityError(f"atom {symbol}/{len(atom.args)} does not match arity {arity}")
+        args = []
+        for a in atom.args:
+            if isinstance(a, Const):
+                args.append(~consts.setdefault(a.value, len(consts)))
+            else:
+                args.append(variables.setdefault(a, len(variables)))
+        atoms.append((kind, ref, tuple(args)))
+    if body.head_var not in variables:
+        raise HeadVarUnusedError(f"head variable {body.head_var} does not occur in the body")
+    return (variables[body.head_var], tuple(atoms)), tuple(edb), tuple(consts)
+
+
+# CPython refuses more than 20 nested loops in one function, so a plan is
+# cut into generated functions of at most this many steps, each calling the
+# next from its innermost loop.
+_STEPS_PER_FUNCTION = 16
+
+
+@lru_cache(maxsize=1024)
+def _generate(shape: tuple) -> tuple:
+    """``(make, refs, registers, source)`` for a body of this shape.
+    ``make(a0, a1, ...)`` returns the ``answers`` and ``member`` functions,
+    closed over its arguments; ``refs`` says what each argument is:
+    ``("s", n, None)`` the EDB symbol ``n``, ``("s", n, positions)`` its
+    index on those positions, ``("c", n, None)`` the constant ``n``."""
+    gen = _Generator(shape)
+    source = gen.source()
+    namespace = {"_index": _index}
+    exec(compile(source, "<tracelang query>", "exec"), namespace)
+    return namespace["make"], tuple(gen.refs), frozenset(gen.registers), source
+
+
+class _Generator:
+    """The source of the ``make`` function of one shape.  In it a variable
+    is ``v<n>``, an argument of ``make`` ``a<n>``, the register valuation
+    ``r``, and the table or index that ``a<n>`` names ``ta<n>``."""
+
+    def __init__(self, shape: tuple):
+        self.head, self.atoms = shape
+        self.refs: list[tuple] = []
+        self._numbers: dict[tuple, int] = {}
+        self.registers: set[int] = set()
+        self._nvars = 0
+        self._functions: list[list[str]] = []
+
+    def source(self) -> str:
+        steps = self._plan(set())
+        at = next(i for i, (_, _, args) in enumerate(steps) if self.head in args)
+        self._emit("answers(s)", steps[: at + 1], steps[at + 1 :], {}, True)
+        self._nvars = 0
+        self._emit("member(s, v0)", self._plan({self.head}), [], {self.head: self._var()}, False)
+        args = ", ".join(f"a{i}" for i in range(len(self.refs)))
+        return "\n".join([
+            f"def make({args}):",
+            *("    " + line for f in self._functions for line in f),
+            "    return answers, member\n",
+        ])
+
+    def _plan(self, bound: set) -> list[tuple]:
+        """The atoms in join order, given the variables bound up front."""
+        bound = bound | {a for _, _, args in self.atoms for a in args if a < 0}
+
+        def rank(atom: tuple) -> int:
+            kind, _, args = atom
+            if all(a in bound for a in args):
+                return 0  # membership test
+            if kind == _REG:
+                return 1  # at most one tuple
+            return 2 if any(a in bound for a in args) else 3  # lookup, scan
+
+        pending = list(self.atoms)
+        steps = []
+        while pending:
+            atom = min(pending, key=rank)  # ties keep body order
+            pending.remove(atom)
+            steps.append(atom)
+            bound.update(atom[2])
+        return steps
+
+    def _name(self, ref: tuple) -> str:
+        """The argument of ``make`` that ``ref`` is passed as."""
+        if ref not in self._numbers:
+            self._numbers[ref] = len(self.refs)
+            self.refs.append(ref)
+        return f"a{self._numbers[ref]}"
+
+    def _var(self) -> str:
+        self._nvars += 1
+        return f"v{self._nvars - 1}"
+
+    def _emit(self, header: str, steps: list, rest: list, bound: dict, collect: bool) -> None:
+        """Emit the function ``header`` for ``steps``, the variables in
+        ``bound`` bound on entry.
+
+        ``collect``: the steps bind the head, and each match adds it to
+        ``out`` when ``rest``, the existential atoms after the head, has a
+        match too; else the function returns whether any match exists.
+        Steps past ``_STEPS_PER_FUNCTION`` go into a further function."""
+        top = ["    out = set()"] if header.startswith("answers") else []
+        nest: list[str] = []
+        lines = [f"def {header}:"]
+        self._functions.append(lines)
+        pad = "    "
+        for atom in steps[:_STEPS_PER_FUNCTION]:
+            self._step(atom, bound, top, nest, pad)
+            pad += "    "
+        if len(steps) > _STEPS_PER_FUNCTION:
+            call = f"f{len(self._functions)}({', '.join(['s', *(['out'] * collect), *bound.values()])})"
+            self._emit(call, steps[_STEPS_PER_FUNCTION:], rest, dict(bound), collect)
+            nest += [pad + call] if collect else [f"{pad}if {call}:", f"{pad}    return True"]
+        elif not collect:
+            nest.append(pad + "return True")
+        elif rest:
+            head = bound[self.head]
+            call = f"f{len(self._functions)}({', '.join(['s', *bound.values()])})"
+            self._emit(call, rest, [], dict(bound), False)
+            nest += [f"{pad}if {head} not in out and {call}:", f"{pad}    out.add({head})"]
+        else:
+            nest.append(f"{pad}out.add({bound[self.head]})")
+        tail = "out" if header.startswith("answers") else "None" if collect else "False"
+        lines += [*top, *nest, f"    return {tail}"]
+
+    def _step(self, atom: tuple, bound: dict, top: list, nest: list, pad: str) -> None:
+        """Append the test or loop of one atom at indentation ``pad`` to
+        ``nest``, and the fetch of its register valuation, EDB table or
+        index, once per function, to ``top``."""
+
+        def known(a: int) -> bool:
+            return a < 0 or a in bound
+
+        def expr(a: int) -> str:
+            return self._name(("c", ~a, None)) if a < 0 else bound[a]
+
+        def fetch(line: str) -> None:
+            if line not in top:
+                top.append(line)
+
+        kind, ref, args = atom
+        if kind == _ADOM:
+            (a,) = args
+            if known(a):
+                nest.append(f"{pad}if {expr(a)} in s._dindex:")
+            else:
+                bound[a] = self._var()
+                nest.append(f"{pad}for {bound[a]} in s.domain:")
             return
-        if i == head_step + 1 and env[head_slot] in answers:
-            return  # the rest only re-proves a known answer
-        kind, ref, positions, key_slots, outs = steps[i]
-        if kind == _EDB:
-            table = s.edb[ref]
-        elif kind == _REG:
-            v = s.registers[ref]
-            table = () if v is None else ((v,),)
-        else:
-            table = s.adom_tuples
-        if not positions:
-            candidates = table
-        else:
-            key = tuple(env[k] for k in key_slots)
-            if not outs:
-                candidates = (key,) if key in table else ()
+        if kind == _REG:
+            (a,) = args
+            self.registers.add(ref)
+            fetch("    r = s.registers")
+            if known(a):
+                nest.append(f"{pad}if r[{ref}] == {expr(a)}:")
             else:
-                candidates = _index(s, ref, positions).get(key, ())
-        for tup in candidates:
-            for pos, slot, binds in outs:
-                if binds:
-                    env[slot] = tup[pos]
-                elif env[slot] != tup[pos]:
-                    break
+                bound[a] = self._var()
+                nest += [f"{pad}{bound[a]} = r[{ref}]", f"{pad}if {bound[a]} is not None:"]
+            return
+        keys = tuple(i for i, a in enumerate(args) if known(a))
+        if len(keys) == len(args):
+            table = self._name(("s", ref, None))
+            fetch(f"    t{table} = s.edb[{table}]")
+            nest.append(f"{pad}if ({', '.join(map(expr, args))},) in t{table}:")
+            return
+        targets, checks = [], []
+        for i, a in enumerate(args):
+            if i in keys:
+                targets.append("_")
+            elif a in bound:  # a variable repeated within this atom
+                targets.append(f"u{i}")
+                checks += [f"{pad}    if u{i} != {bound[a]}:", f"{pad}        continue"]
             else:
-                rec(i + 1)
-
-    rec(0)
-    return frozenset(answers)
+                bound[a] = self._var()
+                targets.append(bound[a])
+        if keys:
+            index = self._name(("s", ref, keys))
+            fetch(f"    t{index} = s._index.get({index}) or _index(s, {index})")
+            rows = f"t{index}.get(({', '.join(expr(args[i]) for i in keys)},), ())"
+        else:
+            table = self._name(("s", ref, None))
+            fetch(f"    t{table} = s.edb[{table}]")
+            rows = f"t{table}"
+        nest += [f"{pad}for ({', '.join(targets)},) in {rows}:", *checks]

@@ -47,10 +47,9 @@ from .errors import (
     ChoiceMismatchError,
     InvalidParamsError,
     TraceLangError,
-    UnknownSymbolError,
     VocabularyMismatchError,
 )
-from .modules import Choice, apply_choice, successor_choices
+from .modules import Choice, apply_choice, check_choice, successor_choices
 from .parser import Program, check_constants
 from .structures import Structure
 from . import terms as T
@@ -374,10 +373,12 @@ class Evaluator:
         self.nodes = 0
         self.exists_calls = 0
         self.table_hits = 0
-        # Per input: successors depend only on the frontier letter, which
-        # recurs a lot across branches of the search, and the table holds
-        # the definite answers of module-bearing checks.
+        # Per input: a module's choices depend only on the registers it
+        # reads, its successors on the frontier letter, which recurs a lot
+        # across branches of the search; the table holds the definite
+        # answers of module-bearing checks.
         self._input: Optional[Structure] = None
+        self._choices: dict[tuple, tuple] = {}
         self._succ: dict[tuple, tuple] = {}
         self._table: dict[tuple, bool] = {}
 
@@ -385,18 +386,24 @@ class Evaluator:
         """Drop the per-input caches when the input changes."""
         if input_structure is not self._input:
             self._input = input_structure
+            self._choices.clear()
             self._succ.clear()
             self._table.clear()
 
     def _successors(self, name: str, letter) -> tuple:
+        """The ``(letter, choice)`` successors of ``letter`` by the module
+        ``name``.  Its choices are cached on the values of the registers it
+        reads, and built once per distinct value; the letters, which keep
+        every other register (inertia), once per frontier valuation."""
         key = (name, letter.registers)
         cached = self._succ.get(key)
         if cached is None:
-            cached = tuple(
-                (apply_choice(letter, c), c)
-                for c in successor_choices(self.program.modules[name], letter)
-            )
-            self._succ[key] = cached
+            module = self.program.compiled[name]
+            reads = (name, module.reads(letter.registers))
+            choices = self._choices.get(reads)
+            if choices is None:
+                choices = self._choices[reads] = successor_choices(module, letter)
+            cached = self._succ[key] = tuple((apply_choice(letter, c), c) for c in choices)
         return cached
 
     # --- search ----------------------------------------------------------
@@ -678,7 +685,8 @@ class Evaluator:
                         raise ChoiceMismatchError(
                             f"certificate names module {choice.module}, derivation needs {name}"
                         )
-                    letter = apply_choice(trace.last, choice, self.program.modules[name])
+                    check_choice(self.program.compiled[name], trace.last, choice)
+                    letter = apply_choice(trace.last, choice)
                     chooser.pos += 1
                     self.nodes += 1
                     trace = trace.extend(letter, choice)
@@ -721,13 +729,14 @@ class Evaluator:
 
 
 def _check_input(program: Program, input_structure: Structure) -> Program:
-    """Refuse an invalid program, else return it.  The program was validated
-    when it was built; only the constants depend on the input's domain."""
+    """Refuse an invalid program, with the error class its text would be
+    refused with, else return it.  The program was validated when it was
+    built; only the constants depend on the input's domain."""
     if input_structure.vocabulary != program.vocabulary:
         raise VocabularyMismatchError("input structure does not match the program vocabulary")
     diags = [*program.diagnostics, *check_constants(program, input_structure.domain)]
     if diags:
-        raise UnknownSymbolError(f"program is not valid: {diags[0]}")
+        raise diags[0].error(f"program is not valid: {diags[0]}")
     return program
 
 

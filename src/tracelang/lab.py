@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .engine import SearchConfig, Trace, check_bg, check_eq
+from .errors import UnknownModuleError
 from .modules import successor_choices, apply_choice
 from .parser import Program
 from . import terms as T
@@ -56,10 +57,12 @@ def _deno(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig) -> tu
         case T.ModuleRef(name):
             if len(trace) + 1 > cfg.max_trace_length:
                 return frozenset(), False
+            module = program.compiled.get(name)
+            if module is None:  # a program built directly can lack it
+                raise UnknownModuleError(f"module {name} is undefined or has a rule that does not compile")
             last = trace.last
             exts = frozenset(
-                trace.extend(apply_choice(last, c), c)
-                for c in successor_choices(program.modules[name], last)
+                trace.extend(apply_choice(last, c), c) for c in successor_choices(module, last)
             )
             return exts, True
         case T.Seq():

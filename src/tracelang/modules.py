@@ -6,14 +6,21 @@ evaluated against the source structure before any register is written, and
 everything a module does not write stays unchanged (inertia).  A module with
 an empty answer set for any rule has no transition at all from that
 structure.
+
+A program compiles each of its modules once (``Program.compiled``) into a
+:class:`CompiledModule`: per rule, the generated answer and membership
+functions of its body (see ``cq``), and a getter for the registers the
+bodies read.  The outcomes of a module depend on the structure only through
+those registers, so a search may reuse them wherever they agree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .cq import CQBody, evaluate_unary_cq
+from .cq import CQBody
 from .errors import DuplicateSymbolError, StaleChoiceError
 from .structures import Structure
 
@@ -41,6 +48,19 @@ class ModuleDef:
             raise DuplicateSymbolError(f"module {self.name} has no rules", self.line)
 
 
+class CompiledModule(NamedTuple):
+    """A module compiled against one vocabulary: the registers its rules
+    write (``heads``, in rule order), per rule its body's generated
+    ``answers`` and ``member`` functions, and ``reads``, the getter of the
+    registers the bodies read from a register valuation."""
+
+    name: str
+    heads: tuple[str, ...]
+    answers: tuple[Callable, ...]
+    members: tuple[Callable, ...]
+    reads: Callable
+
+
 @dataclass(frozen=True)
 class Choice:
     """One resolved outcome of a module's guesses: element per written register."""
@@ -52,51 +72,42 @@ class Choice:
         return dict(self.assignment)
 
 
-def _answer_sets(m: ModuleDef, s: Structure) -> list[list[str]] | None:
-    """Per-rule answers in deterministic element order, or None if any is empty."""
-    order = s.element_order
-    out: list[list[str]] = []
-    for rule in m.rules:
-        answers = evaluate_unary_cq(rule.body, s)
-        if not answers:
-            return None
-        out.append(sorted(answers, key=order))
-    return out
-
-
-def successor_choices(m: ModuleDef, s: Structure) -> tuple[Choice, ...]:
+def successor_choices(m: CompiledModule, s: Structure) -> tuple[Choice, ...]:
     """All outcomes of ``m`` at ``s``: the product of the rules' answer sets.
 
     Empty iff some rule has an empty answer set, in which case the module is
     undefined at ``s``.  Enumeration order is deterministic: element
     declaration order within each rule, rules in declaration order.
     """
-    answers = _answer_sets(m, s)
-    if answers is None:
-        return ()
-    heads = [r.head for r in m.rules]
+    answers = []
+    for rule in m.answers:
+        found = rule(s)
+        if not found:
+            return ()
+        answers.append(sorted(found, key=s.element_order))
     return tuple(
-        Choice(m.name, tuple(zip(heads, combo))) for combo in itertools.product(*answers)
+        Choice(m.name, tuple(zip(m.heads, combo))) for combo in itertools.product(*answers)
     )
 
 
-def apply_choice(s: Structure, c: Choice, module: ModuleDef | None = None) -> Structure:
-    """Write the chosen elements; all other registers keep their values.
+def check_choice(m: CompiledModule, s: Structure, c: Choice) -> None:
+    """Raise ``StaleChoiceError`` unless ``c`` is an outcome of ``m`` at
+    ``s``: it writes each register of ``m`` once, and nothing else, with an
+    element of that rule's answer set.  Each element is tested with its
+    rule's membership function; no answer set is built."""
+    assigned = c.as_dict()
+    if len(assigned) != len(c.assignment) or set(assigned) != set(m.heads):
+        raise StaleChoiceError(f"choice for {c.module} writes the wrong registers")
+    for head, member in zip(m.heads, m.members):
+        if not member(s, assigned[head]):
+            raise StaleChoiceError(
+                f"choice {head}={assigned[head]} is not in the answer set of {c.module}"
+            )
 
-    When ``module`` is supplied the choice is re-validated against the answer
-    sets on ``s`` (used during certificate replay).
-    """
-    if module is not None:
-        if module.name != c.module:
-            raise StaleChoiceError(f"choice for {c.module} applied to module {module.name}")
-        assigned = c.as_dict()
-        if len(assigned) != len(c.assignment) or set(assigned) != {r.head for r in module.rules}:
-            raise StaleChoiceError(f"choice for {c.module} writes the wrong registers")
-        for rule in module.rules:
-            if assigned[rule.head] not in evaluate_unary_cq(rule.body, s):
-                raise StaleChoiceError(
-                    f"choice {rule.head}={assigned[rule.head]} is not in the answer set of {c.module}"
-                )
+
+def apply_choice(s: Structure, c: Choice) -> Structure:
+    """Write the chosen elements; all other registers keep their values.
+    The choice is not checked: see :func:`check_choice`."""
     rindex = s.vocabulary.register_index
     registers = list(s.registers)
     for reg, value in c.assignment:

@@ -41,7 +41,7 @@ from .errors import (
     UnknownModuleError,
     UnknownSymbolError,
 )
-from .modules import ModuleDef, Rule
+from .modules import CompiledModule, ModuleDef, Rule
 from .structures import Vocabulary
 from .terms import MAX_NESTING
 from . import terms as T
@@ -93,18 +93,17 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# diagnostic code -> the error parse_program raises for it (else ParseError)
+# diagnostic code -> the error that refuses a program with it (else ParseError)
 _ERRORS = {
     "UnknownModule": UnknownModuleError,
     "UnknownSymbol": UnknownSymbolError,
+    "UnknownElement": UnknownSymbolError,
     "NonUnarySymbolInTest": NonUnarySymbolError,
     "HeadVarUnused": HeadVarUnusedError,
     "ArityMismatch": ArityError,
 }
-_CODES = {error: code for code, error in _ERRORS.items()}
-
-# rule-body checks, memoized apart from the plans runs use (see cq._plan)
-_check_body = lru_cache(maxsize=1024)(compile_body)
+# the code of each error compile_body raises
+_CODES = {UnknownSymbolError: "UnknownSymbol", HeadVarUnusedError: "HeadVarUnused", ArityError: "ArityMismatch"}
 
 
 @dataclass
@@ -117,6 +116,12 @@ class Diagnostic:
         where = f" (line {self.line})" if self.line is not None else ""
         return f"{self.code}: {self.message}{where}"
 
+    @property
+    def error(self) -> type:
+        """The ``TraceLangError`` class that refuses a program with this
+        diagnostic, by a parse and by a run alike."""
+        return _ERRORS.get(self.code, ParseError)
+
 
 _COMPILED = dict(init=False, repr=False, compare=False)
 
@@ -127,8 +132,10 @@ class Program:
     ``core`` is the term the engine runs, ``check_depth`` the nesting depth
     of the universal checks a search of it can open, ``footprint`` maps the
     ids of the core and of each subterm it checks to their footprint
-    getters (the program holds the core, so the ids stay unique), and
-    ``diagnostics`` are what :func:`validate_program` reports."""
+    getters (the program holds the core, so the ids stay unique),
+    ``compiled`` maps the name of each module whose rules compile to its
+    :class:`~tracelang.modules.CompiledModule`, and ``diagnostics`` lists
+    what is wrong with the program; it is valid iff that is empty."""
 
     vocabulary: Vocabulary
     modules: dict[str, ModuleDef]
@@ -137,10 +144,12 @@ class Program:
     core: T.Term = field(**_COMPILED)
     check_depth: int = field(**_COMPILED)
     footprint: dict = field(**_COMPILED)
+    compiled: dict = field(**_COMPILED)
     diagnostics: tuple = field(**_COMPILED)
 
     def __post_init__(self):
-        for name, value in zip(("core", "check_depth", "footprint", "diagnostics"), _compile(self)):
+        names = ("core", "check_depth", "footprint", "compiled", "diagnostics")
+        for name, value in zip(names, _compile(self)):
             object.__setattr__(self, name, value)
 
 
@@ -407,24 +416,25 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
     program = Program(vocabulary, modules, main, source=text)
     if program.diagnostics:
         d = program.diagnostics[0]
-        raise _ERRORS.get(d.code, ParseError)(d.message, d.line)
+        raise d.error(d.message, d.line)
     return program
 
 
-def validate_program(program: Program) -> list[Diagnostic]:
-    """All well-formedness diagnostics for a program; empty iff valid."""
-    return list(program.diagnostics)
-
-
+@lru_cache(maxsize=1024)
 def _getter(mask: int):
     """The getter of the registers whose bits are set in ``mask``; with
-    none, ``registers[0:0]``, which is ``()``."""
+    none, ``registers[0:0]``, which is ``()``.  Getters hold no state, so
+    every program shares them."""
     indexes = [i for i in range(mask.bit_length()) if mask >> i & 1]
     return itemgetter(*indexes) if indexes else itemgetter(slice(0, 0))
 
 
 def _compile(program: Program) -> tuple:
-    """``(core, check_depth, footprint, diagnostics)``, see :class:`Program`.
+    """``(core, check_depth, footprint, compiled, diagnostics)``, see
+    :class:`Program`.
+
+    Each rule body is checked by compiling it (``cq.compile_body``); a
+    module whose rules all compile and write registers gets its record.
 
     The core is ``main`` desugared, with one law applied: a test sequenced
     with itself is that test, ``p ; p -> p`` (Desharnais, Moeller & Struth,
@@ -447,14 +457,33 @@ def _compile(program: Program) -> tuple:
     """
     vocab, modules = program.vocabulary, program.modules
     bit = {x: 1 << i for x, i in vocab.register_index.items()}
+    diags: list[Diagnostic] = []
+    compiled = {}
     module_regs = {}
     for name, mod in modules.items():
-        regs = 0
+        reads = writes = 0
+        queries = []
         for rule in mod.rules:
-            regs |= bit.get(rule.head, 0)
-            for atom in rule.body.atoms:
-                regs |= bit.get(atom.symbol, 0)
-        module_regs[name] = regs
+            if rule.head in bit:
+                writes |= bit[rule.head]
+            else:
+                diags.append(
+                    Diagnostic("UnknownSymbol", f"rule head {rule.head} is not a declared register", rule.line)
+                )
+            try:
+                query = compile_body(rule.body, vocab)
+            except (UnknownSymbolError, ArityError, HeadVarUnusedError) as e:
+                diags.append(Diagnostic(_CODES[type(e)], f"rule {mod.name}.{rule.head}: {e}", rule.line))
+                continue
+            queries.append(query)
+            for i in query.registers:
+                reads |= 1 << i
+        module_regs[name] = reads | writes
+        heads = tuple(rule.head for rule in mod.rules)
+        if len(queries) == len(heads) and all(head in bit for head in heads):
+            compiled[name] = CompiledModule(
+                name, heads, tuple(q.answers for q in queries), tuple(q.member for q in queries), _getter(reads)
+            )
     names: set[str] = set()
     symbols: set[str] = set()
     checked: dict[int, tuple] = {}
@@ -507,24 +536,11 @@ def _compile(program: Program) -> tuple:
         done[id(node)] = info
     top = done[id(root)]
     checked[id(top[0])] = top
-    masks = {mask for *_, regs, past in checked.values() for mask in (regs, past)}
-    getters = {mask: _getter(mask) for mask in masks}
     footprint = {
-        key: (getters[regs], getters[past] if past else None)
+        key: (_getter(regs), _getter(past) if past else None)
         for key, (_, _, _, regs, past) in checked.items()
     }
 
-    diags: list[Diagnostic] = []
-    for mod in modules.values():
-        for rule in mod.rules:
-            if not vocab.is_register(rule.head):
-                diags.append(
-                    Diagnostic("UnknownSymbol", f"rule head {rule.head} is not a declared register", rule.line)
-                )
-            try:  # the join plan a run evaluates the body with
-                _check_body(rule.body, vocab)
-            except (UnknownSymbolError, ArityError, HeadVarUnusedError) as e:
-                diags.append(Diagnostic(_CODES[type(e)], f"rule {mod.name}.{rule.head}: {e}", rule.line))
     for name in sorted(names - modules.keys()):
         diags.append(Diagnostic("UnknownModule", f"term references undefined module {name}"))
     for sym in sorted(symbols):
@@ -536,7 +552,7 @@ def _compile(program: Program) -> tuple:
         diags.append(
             Diagnostic("TooDeep", f"universal checks nest {top[2]} levels deep, more than {MAX_NESTING}")
         )
-    return top[0], top[2], footprint, tuple(diags)
+    return top[0], top[2], footprint, compiled, tuple(diags)
 
 
 def check_constants(program: Program, domain: tuple[str, ...]) -> list[Diagnostic]:

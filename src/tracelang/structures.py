@@ -108,7 +108,7 @@ class Structure:
     ``vocabulary.register_symbols``; entries are an element or ``None``.
     """
 
-    __slots__ = ("vocabulary", "domain", "edb", "registers", "_dindex", "_adom", "_usets", "_index")
+    __slots__ = ("vocabulary", "domain", "edb", "registers", "_dindex", "_usets", "_index")
 
     def __init__(
         self,
@@ -145,16 +145,11 @@ class Structure:
         )
         object.__setattr__(self, "registers", registers)
         object.__setattr__(self, "_dindex", {e: i for i, e in enumerate(domain)})
-        object.__setattr__(self, "_adom", frozenset((e,) for e in domain))
         object.__setattr__(self, "_usets", {})  # unary EDB interp cache, shared down a trace
         object.__setattr__(self, "_index", {})  # EDB hash indexes of ``cq``, shared likewise
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")
-
-    @property
-    def adom_tuples(self) -> frozenset[tuple[str, ...]]:
-        return self._adom
 
     def register_value(self, name: str) -> Optional[str]:
         try:
@@ -170,7 +165,6 @@ class Structure:
         object.__setattr__(new, "edb", self.edb)
         object.__setattr__(new, "registers", registers)
         object.__setattr__(new, "_dindex", self._dindex)
-        object.__setattr__(new, "_adom", self._adom)
         object.__setattr__(new, "_usets", self._usets)
         object.__setattr__(new, "_index", self._index)
         return new

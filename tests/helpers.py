@@ -45,6 +45,11 @@ def naive_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
     return frozenset(answers)
 
 
+def compiled(module: ModuleDef, vocabulary: Vocabulary):
+    """``module`` compiled against ``vocabulary`` as a program compiles it."""
+    return Program(vocabulary, {module.name: module}, T.ModuleRef(module.name)).compiled[module.name]
+
+
 def structure_of(domain, edb=None, registers=(), arities=None, state=None) -> Structure:
     domain = tuple(domain)
     edb = {k: frozenset(map(tuple, v)) for k, v in (edb or {}).items()}

@@ -244,15 +244,19 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
     )
 
     # (b) replay time grows linearly with certificate length: a fixed domain,
-    # growing chains of fresh guesses.  The domain is large enough that the
-    # per-step work dwarfs timer noise; best-of-9 with the collector paused.
-    # The measurements are interleaved: every certificate is built and warmed
-    # up first, then each of the 9 rounds replays every length once, in an
-    # order shuffled by a seeded generator.  Timing one length 9 times in a
-    # row, then the next, lets a slow spell of the machine fall on a run of
-    # consecutive lengths and bend the fit; interleaving spreads it over all
-    # lengths, and the minimum per length discards it.
+    # growing chains of fresh guesses.  A replay step tests one element for
+    # membership, a few microseconds of work, and this machine's speed
+    # drifts by tens of percent for spells longer than a replay, so a
+    # minimum of raw times scatters.  Each sample therefore times a batch of
+    # replays of one length in process CPU time (``time.process_time``)
+    # right after a batch of the longest certificate, the reference, and is
+    # the ratio of the two: a spell slows both alike.  Every certificate is
+    # built and warmed up first; each of the 9 rounds then samples every
+    # length once, in an order shuffled by a seeded generator, with the
+    # collector paused, and the fit is over the median ratio per length.
+    # The slope is reported in seconds per step at the median reference time.
     import gc
+    import statistics
 
     n = 120
     s = structure_of(tuple(f"d{i}" for i in range(n)), registers=("P",))
@@ -274,7 +278,9 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
         certificates[j] = (prog, verdict.witness, cfg)
     rng = random.Random(8)
     order = list(certificates)
-    best = dict.fromkeys(order, float("inf"))
+    reference = certificates[max(order)]
+    ratios: dict[int, list[float]] = {j: [] for j in order}
+    references = []
     gc.disable()
     try:
         for j in order:
@@ -284,11 +290,13 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
             rng.shuffle(order)
             for j in order:
                 prog, witness, cfg = certificates[j]
-                best[j] = min(best[j], _timed_replay(prog, s, witness, cfg))
+                references.append(_timed_replay(reference[0], s, *reference[1:]))
+                ratios[j].append(_timed_replay(prog, s, witness, cfg) / references[-1])
     finally:
         gc.enable()
-    points = sorted(best.items())
+    points = sorted((j, statistics.median(r)) for j, r in ratios.items())
     slope, r2 = _linear_fit([p[0] for p in points], [p[1] for p in points])
+    slope *= statistics.median(references)
 
     # (c) single-field mutations are rejected
     mutations_ok = _mutations_rejected()
@@ -304,10 +312,12 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
     )
 
 
-def _timed_replay(prog, s, witness, cfg) -> float:
-    start = time.perf_counter()
-    assert verify_witness(prog, s, witness, cfg)
-    return time.perf_counter() - start
+def _timed_replay(prog, s, witness, cfg, batch: int = 5) -> float:
+    """Process CPU seconds per replay, over a batch of replays."""
+    start = time.process_time()
+    for _ in range(batch):
+        assert verify_witness(prog, s, witness, cfg)
+    return (time.process_time() - start) / batch
 
 
 def _mutations_rejected() -> bool:

@@ -1,11 +1,16 @@
+import io
 import itertools
+import keyword
 import random
+import re
+import tokenize
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tracelang.cq import Atom, CQBody, Const, evaluate_unary_cq, free_and_bound_vars
+from tracelang.cq import Atom, CQBody, Const, compile_body, evaluate_unary_cq, free_and_bound_vars
 from tracelang.errors import ArityError, HeadVarUnusedError, UnknownSymbolError
-from tracelang.structures import permute_structure
+from tracelang.structures import Structure, Vocabulary, permute_structure
 
 from helpers import naive_unary_cq, random_structure, structure_of
 
@@ -186,3 +191,95 @@ def test_letters_of_one_structure_share_an_index_of_the_edb_only():
             for body in bodies:
                 for letter in letters:
                     assert evaluate_unary_cq(body, letter) == naive_unary_cq(body, letter)
+
+
+# Names that would break or inject code if generated source spelled them out.
+_TRICKY = st.sampled_from(
+    ['"', "'", "\\", "\n", "a'b", '"); __import__("os"); ("', "__import__", "import", "lambda",
+     "None", "def", "out", "s", "r", "v0", "a0", "ta0", "make", "_index", "answers"]
+)
+_NAMES = _TRICKY | st.text(min_size=1, max_size=6)
+# every identifier the generator writes
+_GENERATED = re.compile(r"(make|answers|member|out|add|set|s|r|_index|_|[avuf]\d+|ta\d+|_dindex|domain|edb|registers|get)\Z")
+
+
+@st.composite
+def _cases(draw):
+    """A structure over arbitrary symbol names and elements, and a body over
+    arbitrary variable names and constants."""
+    u, e, p, q, *variables = draw(st.lists(_NAMES.filter(lambda n: n != "adom"), min_size=7, max_size=7, unique=True))
+    domain = tuple(draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True)))
+    vocab = Vocabulary(((u, 1), (e, 2)), (p, q), len(domain))
+    pairs = list(itertools.product(domain, repeat=2))
+    edb = {
+        u: {(x,) for x in draw(st.lists(st.sampled_from(domain), unique=True))},
+        e: set(draw(st.lists(st.sampled_from(pairs), unique=True))),
+    }
+    registers = tuple(draw(st.sampled_from((None, *domain))) for _ in range(2))
+    s = Structure(vocab, domain, edb, registers)
+    arg = st.sampled_from(variables) | st.builds(Const, st.sampled_from(domain) | _NAMES)
+    atoms = []
+    for symbol in draw(st.lists(st.sampled_from(("adom", u, e, p, q)), min_size=1, max_size=4)):
+        atoms.append(Atom(symbol, tuple(draw(arg) for _ in range(2 if symbol == e else 1))))
+    head = variables[0]
+    if head not in CQBody(head, tuple(atoms)).variables():
+        atoms.insert(draw(st.integers(0, len(atoms))), Atom(draw(st.sampled_from(("adom", u, p))), (head,)))
+    return s, CQBody(head, tuple(atoms))
+
+
+def _renamed(s, body):
+    """The same structure and body with every name and constant replaced,
+    one to one, by a plain one."""
+    names = {"adom": "adom"}
+    for name in (*(n for n, _ in s.vocabulary.edb_symbols), *s.vocabulary.register_symbols):
+        names[name] = f"Sym{len(names)}"
+    values: dict = {}
+
+    def rename(a):
+        if isinstance(a, Const):
+            return Const(values.setdefault(a.value, f"c{len(values)}"))
+        return values.setdefault(("var", a), f"x{len(values)}")
+
+    atoms = tuple(Atom(names[atom.symbol], tuple(map(rename, atom.args))) for atom in body.atoms)
+    vocab = Vocabulary(
+        tuple((names[n], k) for n, k in s.vocabulary.edb_symbols),
+        tuple(names[n] for n in s.vocabulary.register_symbols),
+        s.vocabulary.domain_size,
+    )
+    return vocab, CQBody(rename(body.head_var), atoms)
+
+
+@given(_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_generated_code_agrees_with_the_oracle_and_names_nothing(case):
+    s, body = case
+    query = compile_body(body, s.vocabulary)
+    answers = naive_unary_cq(body, s)
+    assert query.answers(s) == answers
+    assert evaluate_unary_cq(body, s) == answers
+    for element in (*s.domain, "not an element"):
+        assert query.member(s, element) == (element in answers)
+    # The source holds no string literal, and every identifier in it is the
+    # generator's own: no symbol name or constant reaches it as text, so a
+    # body whose names and constants are all replaced has the same source.
+    assert not {'"', "'", "\\"} & set(query.source)
+    tokens = tokenize.generate_tokens(io.StringIO(query.source).readline)
+    assert all(
+        keyword.iskeyword(t.string) or _GENERATED.match(t.string)
+        for t in tokens
+        if t.type == tokenize.NAME
+    ), query.source
+    vocab, renamed = _renamed(s, body)
+    assert compile_body(renamed, vocab).source == query.source
+
+
+def test_a_long_body_is_cut_into_nested_functions():
+    # CPython refuses more than 20 nested loops in one function; a chain of
+    # 300 joins still compiles, and finds the walks of 300 steps on a cycle
+    s = structure_of(("a", "b", "c"), {"E": {("a", "b"), ("b", "c"), ("c", "a")}})
+    atoms = tuple(Atom("E", (f"x{i}", f"x{i + 1}")) for i in range(300))
+    for head in ("x0", "x150", "x300"):
+        query = compile_body(CQBody(head, atoms), s.vocabulary)
+        assert query.answers(s) == {"a", "b", "c"} and query.member(s, "a")
+    s2 = structure_of(("a", "b", "c"), {"E": {("a", "b"), ("b", "c")}})
+    assert compile_body(CQBody("x0", atoms), s2.vocabulary).answers(s2) == set()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 
@@ -381,6 +382,85 @@ def test_replay_stack_depth_is_flat_in_chain_length(monkeypatch):
     assert max_depth[5] == max_depth[40]
 
 
+def _replay_certificates():
+    """The acceptance criterion-8 chain certificate (a fresh guess out of
+    120 elements per step) and a mod-2 certificate, with their programs."""
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance
+
+    chain = structure_of(tuple(f"d{i}" for i in range(120)), registers=("P",))
+    mod2 = make_mod2_instance(3, [(0, 1, 2, 1), (0, 0, 1, 0)])
+    out = []
+    for prog, s in (
+        (_program("module GuessP { P(x) <~ adom(x) }\nterm: pow(GuessP ; BG(P != P), 40)", chain), chain),
+        (build_program(ProblemId.MOD2_LINEAR, mod2.vocabulary), mod2),
+    ):
+        verdict = run_main_task(prog, s)
+        assert verdict.kind == "yes"
+        out.append((prog, s, verdict.witness))
+    return out
+
+
+def test_replay_tests_each_choice_without_building_an_answer_set(monkeypatch):
+    # Replay tests each recorded element with its rule's membership function.
+    # With every way to an answer set patched to raise, both certificates
+    # still replay.  The mod-2 program's universal checks search, and take
+    # their successors from the brute-force oracle instead.
+    from tracelang import cq, modules
+
+    from helpers import naive_unary_cq
+
+    def refuse(*_):
+        raise AssertionError("replay built an answer set")
+
+    for prog, s, witness in _replay_certificates():
+
+        def oracle_successors(m, letter, rules=prog.modules):
+            answers = [sorted(naive_unary_cq(r.body, letter), key=letter.element_order) for r in rules[m.name].rules]
+            return tuple(Choice(m.name, tuple(zip(m.heads, combo))) for combo in itertools.product(*answers))
+
+        with monkeypatch.context() as m:
+            m.setattr(cq, "evaluate_unary_cq", refuse)
+            m.setattr(modules, "successor_choices", refuse)
+            m.setattr(engine, "successor_choices", oracle_successors)
+            for name, module in prog.compiled.items():
+                m.setitem(prog.compiled, name, module._replace(answers=(refuse,) * len(module.answers)))
+            trace = Evaluator(prog, _cfg(prog, s)).replay(s, witness)
+        assert trace.choices == witness.choices
+
+
+def test_a_choice_outside_the_answer_set_fails_with_its_reason():
+    # a forged element fails its rule's membership test with the reason and
+    # the choice index a replay has always given
+    from tracelang.engine import replay_failure
+
+    (chain, s, witness), (mod2, s2, witness2) = _replay_certificates()
+    forged = list(witness.choices)
+    forged[7] = Choice("GuessP", (("P", "zz"),))
+    assert replay_failure(chain, s, Witness(tuple(forged), witness.final_length)) == (
+        "at choice 7: choice P=zz is not in the answer set of GuessP"
+    )
+    # PickVar has two rules; the second one's element is no bit
+    picks = [i for i, c in enumerate(witness2.choices) if c.module == "PickVar"]
+    forged = list(witness2.choices)
+    forged[picks[1]] = Choice("PickVar", (("Val", "v1"), ("Var", forged[picks[1]].as_dict()["Var"])))
+    assert replay_failure(mod2, s2, Witness(tuple(forged), witness2.final_length)) == (
+        f"at choice {picks[1]}: choice Val=v1 is not in the answer set of PickVar"
+    )
+    # a join: Step's element must be a successor of the node in Reach
+    from tracelang.problems import ProblemId, build_program, make_st_instance
+
+    path = make_st_instance(3, [(0, 1), (1, 2)], 0, 2)
+    st = build_program(ProblemId.ST_CONNECTIVITY, path.vocabulary)
+    verdict = run_main_task(st, path)
+    a, b, c = path.domain
+    assert [ch.as_dict() for ch in verdict.witness.choices][:2] == [{"Reach": a}, {"Next": b}]
+    forged = list(verdict.witness.choices)
+    forged[1] = Choice("Step", (("Next", c),))
+    assert replay_failure(st, path, Witness(tuple(forged), verdict.witness.final_length)) == (
+        f"at choice 1: choice Next={c} is not in the answer set of Step"
+    )
+
+
 def test_search_stack_depth_is_flat_in_path_length(monkeypatch):
     # st-conn walks a path with one iterate unfolding per edge.  Search keeps
     # its continuations and unfolding points on an explicit stack, so the
@@ -487,7 +567,7 @@ def test_st_conn_path_memory_is_linear_in_trace_length():
 def _random_walk(rng, program, trace, steps):
     """Extend ``trace`` by up to ``steps`` random module steps."""
     for _ in range(steps):
-        module = program.modules[rng.choice(sorted(program.modules))]
+        module = program.compiled[rng.choice(sorted(program.modules))]
         choices = successor_choices(module, trace.last)
         if not choices:
             break

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tracelang import terms as T
 from tracelang.engine import Evaluator, SearchConfig, Trace
 from tracelang.lab import (
@@ -37,6 +39,23 @@ def test_is_defined_examples():
     assert is_defined(prog, T.Id(), base, cfg) is True
     assert is_defined(prog, T.AntiDomain(T.Id()), base, cfg) is False
     assert is_defined(prog, T.ModuleRef("GuessP"), base, cfg) is True
+
+
+def test_a_module_that_does_not_compile_is_refused():
+    # a program built directly can name an undefined module, or one with a
+    # rule that does not compile; the lab refuses both as bad input
+    from tracelang.cq import Atom, CQBody
+    from tracelang.errors import TraceLangError
+    from tracelang.modules import ModuleDef, Rule
+    from tracelang.parser import Program
+
+    s = structure_of(("a", "b"), registers=("P",))
+    bad = ModuleDef("Bad", (Rule("P", CQBody("x", (Atom("Nope", ("x",)),))),))
+    prog = Program(s.vocabulary, {"Bad": bad}, T.ModuleRef("Bad"))
+    assert prog.diagnostics
+    for name in ("Bad", "Ghost"):
+        with pytest.raises(TraceLangError):
+            is_defined(prog, T.ModuleRef(name), Trace.initial(s), SearchConfig())
 
 
 def test_strong_equivalence_examples():

@@ -15,7 +15,7 @@ from tracelang.errors import (
     VocabularyMismatchError,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
-from tracelang.parser import Program, parse_program, parse_term, validate_program
+from tracelang.parser import Program, parse_program, parse_term
 from tracelang.structures import Vocabulary
 from tracelang.terms import desugar, pretty
 
@@ -141,7 +141,7 @@ def test_pretty_parse_round_trip_on_random_surface_terms():
         assert parse_term(pretty(t)) == t, pretty(t)
 
 
-def test_validate_program_diagnostics():
+def test_program_diagnostics():
     from tracelang.modules import ModuleDef, Rule
     from tracelang.cq import Atom, CQBody
     from tracelang.parser import Program
@@ -153,11 +153,11 @@ def test_validate_program_diagnostics():
         {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))},
         T.BackGlobal("P", "Nope"),
     )
-    codes = {d.code for d in validate_program(prog)}
+    codes = {d.code for d in prog.diagnostics}
     assert "UnknownSymbol" in codes
 
     prog2 = Program(VOCAB, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
-    codes2 = {d.code for d in validate_program(prog2)}
+    codes2 = {d.code for d in prog2.diagnostics}
     assert {"UnknownModule", "NonUnarySymbolInTest"} <= codes2
 
 
@@ -189,7 +189,7 @@ def test_bundled_programs_validate():
     for pid in ProblemId:
         inst = build_instance(pid)
         program = build_program(pid, inst.vocabulary)
-        assert validate_program(program) == []
+        assert program.diagnostics == ()
 
 
 def test_multiline_terms_and_comments_parse():
@@ -214,7 +214,7 @@ def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
         modules = random_modules(rng)
         main = random_surface_term(rng, rng.randint(2, 4), sorted(modules), ("P", "Q", "U"), max_pow=6)
         prog = Program(s.vocabulary, modules, main)
-        assert validate_program(prog) == []
+        assert prog.diagnostics == ()
         folded += prog.core != desugar(prog.main)
         cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
@@ -237,9 +237,29 @@ def test_a_huge_pow_compiles_to_a_log_size_core():
     assert elapsed < 0.5 and program.check_depth == 0
 
 
+def test_a_run_refuses_a_directly_built_program_as_a_parse_refuses_its_text():
+    from tracelang.cq import Atom, CQBody
+    from tracelang.modules import ModuleDef, Rule
+    from tracelang.parser import MAX_NESTING
+
+    s = structure_of(("a",), registers=("P", "Q", "Reach"), arities={"T": 2, "U": 1})
+    guess = {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))}
+    # one arm more than the checks may nest: each left arm is checked
+    arms = " <+ ".join(["M"] * (MAX_NESTING + 2))
+    for modules, term, text, error in (
+        ({}, "Ghost", "term: Ghost", UnknownModuleError),
+        (guess, arms, f"module M {{ P(x) <~ adom(x) }}\nterm: {arms}", ParseError),
+    ):
+        with pytest.raises(error) as parsed:
+            parse_program(text, VOCAB)
+        with pytest.raises(error) as ran:
+            run_main_task(Program(s.vocabulary, modules, parse_term(term)), s)
+        assert type(parsed.value) is type(ran.value) is error
+
+
 def test_an_invalid_program_built_directly_fails_its_run():
     s = structure_of(("a",), registers=("P", "Q", "Reach"), arities={"T": 2, "U": 1})
     prog = Program(s.vocabulary, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
-    assert [d.code for d in validate_program(prog)] == ["UnknownModule", "NonUnarySymbolInTest"]
-    with pytest.raises(UnknownSymbolError):
+    assert [d.code for d in prog.diagnostics] == ["UnknownModule", "NonUnarySymbolInTest"]
+    with pytest.raises(UnknownModuleError):
         run_main_task(prog, s)
