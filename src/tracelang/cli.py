@@ -63,16 +63,24 @@ def _node_budget() -> Optional[int]:
         return None
 
 
-def _exponent(text: str) -> int:
-    """The ``--k`` of every command: a nonnegative int, checked here so that
-    every command rejects a bad one with the same usage exit."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be an integer, got {text!r}") from None
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"k must be nonnegative, got {k}")
-    return k
+def _at_least(low: int, what: str, rule: str):
+    """The argparse type of an int option of at least ``low``, checked here
+    so that every command rejects a bad one with the same usage exit."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+_exponent = _at_least(0, "k", "nonnegative")
+_length = _at_least(1, "max-len", "at least 1, the input letter")
 
 
 def _read(path: str) -> str:
@@ -234,7 +242,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--program", required=True)
     run.add_argument("--structure", required=True)
     run.add_argument("--k", type=_exponent, default=2, help="length-bound exponent (default 2)")
-    run.add_argument("--max-len", type=int, default=None, help="override the trace length bound")
+    run.add_argument("--max-len", type=_length, default=None, help="override the trace length bound")
     run.add_argument("--witness", default=None, help="write the certificate here on yes")
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--no-timing", action="store_true")
@@ -253,7 +261,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     equiv.add_argument("--structure", required=True)
     equiv.add_argument("--mode", choices=["strong", "before-after"], default="strong")
     equiv.add_argument("--k", type=_exponent, default=2)
-    equiv.add_argument("--max-len", type=int, default=None)
+    equiv.add_argument("--max-len", type=_length, default=None)
     equiv.set_defaults(func=cmd_equiv)
 
     suite = sub.add_parser("suite", help="run bundled problems against their oracles")

@@ -6,21 +6,22 @@ variable can take under some assignment of the existential variables.  Module
 guesses pick single elements out of these answer sets.
 
 Each body is compiled once per vocabulary (:func:`compile_body`), which checks
-its symbols and arities, into two generated functions.  ``answers(s)`` is the
-answer set on ``s``.  ``member(s, e)`` tells whether ``e`` is in it, with the
-head bound first, so that a bound head turns the query into a Boolean check
-(Yannakakis, VLDB 1981).  Both follow a join plan, one nested loop or test
-per atom (Neumann, *Efficiently compiling efficient query plans for modern
-hardware*, PVLDB 2011): atoms with every argument bound come first, as
-membership tests, then register atoms, which hold at most one tuple, then
-atoms with some argument bound, then scans; ties keep body order.  An EDB atom
-with some arguments bound is answered by one lookup in a hash index keyed by
-its bound-position pattern.  Indexes are built lazily over EDB tables only,
-never over register values, and shared by every letter that
-``with_registers`` derives from one structure: the EDB never changes along a
-trace.  Once ``answers`` has bound the head, the atoms left are one
-existential check that stops at its first match, and a head value already
-found skips it.
+its symbols and arities, into two generated functions.  ``answers(s, r)`` is
+the answer set on the structure ``s`` under the register valuation ``r``.
+``member(s, r, e)`` tells whether ``e`` is in it, with the head bound
+first, so that a bound head turns the query into a Boolean check (Yannakakis,
+VLDB 1981).  Both follow a join plan, one nested loop or test per atom
+(Neumann, *Efficiently compiling efficient query plans for modern hardware*,
+PVLDB 2011): atoms with every argument bound come first, as membership tests,
+then register atoms, which hold at most one tuple, then atoms with some
+argument bound, then scans; ties keep body order.  An EDB atom with some
+arguments bound is answered by one lookup in a hash index keyed by its
+bound-position pattern.  Indexes are built lazily over EDB tables only, never
+over register values, and kept on the structure: a run passes its input
+structure with each letter's valuation, so one set of indexes serves every
+letter of the run.  Once ``answers`` has bound the head, the atoms left are
+one existential check that stops at its first match, and a head value
+already found skips it.
 
 The generated source contains only slot numbers, argument positions and
 register indexes.  It is generated from the body's shape, the body with its
@@ -68,21 +69,13 @@ class CQBody:
         return frozenset(a for atom in self.atoms for a in atom.args if isinstance(a, str))
 
 
-def free_and_bound_vars(body: CQBody) -> tuple[str, frozenset[str]]:
-    """Split the body's variables into the head variable and the existential rest."""
-    all_vars = body.variables()
-    if body.head_var not in all_vars:
-        raise HeadVarUnusedError(f"head variable {body.head_var} does not occur in the body")
-    return body.head_var, all_vars - {body.head_var}
-
-
 class Query(NamedTuple):
     """A body compiled against one vocabulary: its ``answers`` and
     ``member`` functions, the indexes of the registers it reads, and the
     generated ``source`` they were compiled from."""
 
-    answers: Callable[[Structure], set]
-    member: Callable[[Structure, str], bool]
+    answers: Callable[[Structure, tuple], set]
+    member: Callable[[Structure, tuple, str], bool]
     registers: frozenset[int]
     source: str
 
@@ -116,7 +109,7 @@ def evaluate_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
     Register atoms hold only when the register is non-blank; ``adom`` holds of
     every domain element.  Raises as :func:`compile_body` does.
     """
-    return frozenset(compile_body(body, s.vocabulary).answers(s))
+    return frozenset(compile_body(body, s.vocabulary).answers(s, s.registers))
 
 
 # Atom kinds: where an atom's tuples come from.
@@ -194,9 +187,9 @@ class _Generator:
     def source(self) -> str:
         steps = self._plan(set())
         at = next(i for i, (_, _, args) in enumerate(steps) if self.head in args)
-        self._emit("answers(s)", steps[: at + 1], steps[at + 1 :], {}, True)
+        self._emit("answers(s, r)", steps[: at + 1], steps[at + 1 :], {}, True)
         self._nvars = 0
-        self._emit("member(s, v0)", self._plan({self.head}), [], {self.head: self._var()}, False)
+        self._emit("member(s, r, v0)", self._plan({self.head}), [], {self.head: self._var()}, False)
         args = ", ".join(f"a{i}" for i in range(len(self.refs)))
         return "\n".join([
             f"def make({args}):",
@@ -253,14 +246,14 @@ class _Generator:
             self._step(atom, bound, top, nest, pad)
             pad += "    "
         if len(steps) > _STEPS_PER_FUNCTION:
-            call = f"f{len(self._functions)}({', '.join(['s', *(['out'] * collect), *bound.values()])})"
+            call = f"f{len(self._functions)}({', '.join(['s', 'r', *(['out'] * collect), *bound.values()])})"
             self._emit(call, steps[_STEPS_PER_FUNCTION:], rest, dict(bound), collect)
             nest += [pad + call] if collect else [f"{pad}if {call}:", f"{pad}    return True"]
         elif not collect:
             nest.append(pad + "return True")
         elif rest:
             head = bound[self.head]
-            call = f"f{len(self._functions)}({', '.join(['s', *bound.values()])})"
+            call = f"f{len(self._functions)}({', '.join(['s', 'r', *bound.values()])})"
             self._emit(call, rest, [], dict(bound), False)
             nest += [f"{pad}if {head} not in out and {call}:", f"{pad}    out.add({head})"]
         else:
@@ -270,8 +263,8 @@ class _Generator:
 
     def _step(self, atom: tuple, bound: dict, top: list, nest: list, pad: str) -> None:
         """Append the test or loop of one atom at indentation ``pad`` to
-        ``nest``, and the fetch of its register valuation, EDB table or
-        index, once per function, to ``top``."""
+        ``nest``, and the fetch of its EDB table or index, once per
+        function, to ``top``."""
 
         def known(a: int) -> bool:
             return a < 0 or a in bound
@@ -295,7 +288,6 @@ class _Generator:
         if kind == _REG:
             (a,) = args
             self.registers.add(ref)
-            fetch("    r = s.registers")
             if known(a):
                 nest.append(f"{pad}if r[{ref}] == {expr(a)}:")
             else:

@@ -1,6 +1,6 @@
 """Search engine for the main task and deterministic certificate replay.
 
-A term is evaluated on a trace (a nonempty string of structures) by
+A term is evaluated on a trace (a nonempty string of letters) by
 depth-first search over module choices.  Anti-domain tests, the left arm of a
 preferential union, and maximum-iterate exit checks are universal checks:
 does any extension of the trace let the checked term succeed?  They are
@@ -60,19 +60,24 @@ _UNSET = object()
 
 
 class Trace:
-    """Nonempty string of structures; the first letter is the input.
+    """Nonempty string of letters; the first letter is the input.
+
+    A letter is the input structure under one register valuation.  Domain,
+    EDB and indexes never change along a trace, so it keeps one
+    ``Structure``, its ``input``, and per letter only the valuation tuple
+    (Driscoll et al., *Making data structures persistent*, JCSS 1989).
 
     A trace is a persistent parent-pointer chain.  Each node holds its parent
-    (``None`` at the input letter), its ``last`` letter, the module ``choice``
-    that produced that letter, its ``length``, the ``input`` letter, the
-    history ``hist`` and a hash computed once.  Extending shares the whole
-    prefix, so ``extend`` costs O(changed registers) however long the trace
-    is (see ``hist`` below), and siblings extended from one node share it
-    too.  ``letters``, ``choices`` and ``key()`` are read-only views built on
-    demand by walking the chain, in O(length).
+    (``None`` at the input letter), the valuation ``last`` of its last
+    letter, the module ``choice`` that produced that letter, its ``length``,
+    the ``input``, the history ``hist`` and a hash computed once.  Extending
+    shares the whole prefix, so ``extend`` costs O(changed registers) however
+    long the trace is (see ``hist`` below), and siblings extended from one
+    node share it too.  ``letters`` (each letter as a ``Structure``, built
+    with ``with_registers``), ``choices`` and ``key()`` are read-only views
+    built on demand by walking the chain, in O(length).
 
-    Letters share the input's domain and EDB tables and differ only in their
-    register valuations.  ``hist`` holds, per register, the values it held at
+    ``hist`` holds, per register, the values it held at
     all letters except the last, as an immutable ``int`` bitmask: bit 0 for
     blank, bit i+1 for domain element i.  It makes history tests one bit test.
     It depends on the letters alone.  ``extend`` updates only the masks of
@@ -85,7 +90,7 @@ class Trace:
     def __init__(
         self,
         parent: Optional["Trace"],
-        last: Structure,
+        last: tuple,
         choice: Optional[Choice],
         length: int,
         input: Structure,
@@ -102,11 +107,8 @@ class Trace:
 
     @classmethod
     def initial(cls, input_structure: Structure) -> "Trace":
-        nregs = len(input_structure.vocabulary.register_symbols)
-        return cls(
-            None, input_structure, None, 1, input_structure, (0,) * nregs,
-            hash(input_structure.registers),
-        )
+        registers = input_structure.registers
+        return cls(None, registers, None, 1, input_structure, (0,) * len(registers), hash(registers))
 
     def _chain(self) -> list["Trace"]:
         """The nodes from the input letter to this one."""
@@ -120,7 +122,7 @@ class Trace:
 
     @property
     def letters(self) -> tuple[Structure, ...]:
-        return tuple(node.last for node in self._chain())
+        return tuple(self.input.with_registers(node.last) for node in self._chain())
 
     @property
     def choices(self) -> tuple[Choice, ...]:
@@ -130,20 +132,19 @@ class Trace:
     def __len__(self) -> int:
         return self.length
 
-    def extend(self, letter: Structure, choice: Choice) -> "Trace":
+    def extend(self, registers: tuple, choice: Choice) -> "Trace":
         # ``hist`` gains the values of ``self.last``.  A register that holds
         # the value it held one letter earlier has its bit already, so only
         # changed registers are looked at (at the input letter, all of them);
         # a mask that has the bit is kept, and so is the tuple when no
         # register changed.  Plain loops: a generator costs a frame per step.
-        prev = self.last
-        values, hist = prev.registers, self.hist
+        values, hist = self.last, self.hist
         if self.parent is None:
             before = (_UNSET,) * len(values)
         else:
-            before = self.parent.last.registers
+            before = self.parent.last
         if values != before:
-            order = prev._dindex
+            order = self.input._dindex
             hist = list(hist)
             for i, v in enumerate(values):
                 # an equal value held by another object sets a bit already set
@@ -154,13 +155,13 @@ class Trace:
                         hist[i] = h | bit
             hist = tuple(hist)
         return Trace(
-            self, letter, choice, self.length + 1, self.input, hist,
-            hash((self._hash, letter.registers)),
+            self, registers, choice, self.length + 1, self.input, hist,
+            hash((self._hash, registers)),
         )
 
     def key(self) -> tuple:
         """Content key: the valuation of every letter (EDB is fixed per run)."""
-        return tuple(node.last.registers for node in self._chain())
+        return tuple(node.last for node in self._chain())
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -169,7 +170,7 @@ class Trace:
             return False
         a, b = self, other
         while a is not b:  # walk back to a shared ancestor, if any
-            if a.last.registers != b.last.registers:
+            if a.last != b.last:
                 return False
             if a.parent is None:
                 return a.input == b.input
@@ -183,38 +184,35 @@ class Trace:
         return f"<Trace len={len(self)}>"
 
 
+def _value(symbol: str, trace: Trace):
+    """The interpretation of the unary ``symbol`` at the last letter, in a
+    register's terms: ``None`` for the empty set, the element of a
+    singleton, else the set.  A register is read from the valuation; EDB
+    symbols and ``adom`` from the input, as they never change along a trace."""
+    i = trace.input.vocabulary.register_index.get(symbol)
+    if i is not None:
+        return trace.last[i]
+    interp = trace.input.interp(symbol)
+    return interp if len(interp) > 1 else next(iter(interp), None)
+
+
 def check_eq(p: str, q: str, trace: Trace) -> bool:
     """True iff the set interpretations of ``p`` and ``q`` coincide at the
     last letter (a blank register is the empty set)."""
-    last = trace.last
-    rindex = last.vocabulary.register_index
-    pi, qi = rindex.get(p), rindex.get(q)
-    if pi is not None and qi is not None:
-        return last.registers[pi] == last.registers[qi]
-    return last.interp(p) == last.interp(q)
+    return _value(p, trace) == _value(q, trace)
 
 
 def check_bg(p: str, q: str, trace: Trace) -> bool:
     """True iff the current interpretation of ``p`` differs from the
     interpretation of ``q`` at every strictly earlier letter."""
-    last = trace.last
-    rindex = last.vocabulary.register_index
-    pi, qi = rindex.get(p), rindex.get(q)
-    if pi is not None and qi is not None:
-        # register vs register: singleton-or-blank sets are equal iff the
-        # stored values are, blank included
-        v = last.registers[pi]
-        return not trace.hist[qi] & (1 if v is None else 2 << last._dindex[v])
-    target = last.interp(p)
-    if qi is not None:
-        if not target:
-            return not trace.hist[qi] & 1
-        if len(target) == 1:
-            (e,) = target
-            return not trace.hist[qi] & 2 << last._dindex[e]
+    v = _value(p, trace)
+    qi = trace.input.vocabulary.register_index.get(q)
+    if qi is None:
+        past = _value(q, trace)  # EDB: constant along the trace
+        return len(trace) < 2 or past != v
+    if type(v) is frozenset:
         return True  # register interpretations never have two elements
-    past = last.interp(q)  # EDB: constant along the trace
-    return len(trace) < 2 or past != target
+    return not trace.hist[qi] & (1 if v is None else 2 << trace.input._dindex[v])
 
 
 _LENGTH_CAP = 1 << 62
@@ -251,13 +249,18 @@ class SearchConfig:
         node_budget: Optional[int] = None,
     ) -> "SearchConfig":
         """The default bounds for a run on ``input_structure``; they depend
-        on the input alone, not on ``program``."""
+        on the input alone, not on ``program``.  A given length bound must
+        hold the input letter."""
         if k < 0:
             raise InvalidParamsError(f"the length-bound exponent k must be nonnegative, got {k}")
         if max_trace_length is None:
             # max(2, n) ** 62 >= 2 ** 62, so capping k first bounds the power
             power = max(2, len(input_structure.domain)) ** min(k, 62)
             max_trace_length = min(power, _LENGTH_CAP) + 2
+        elif max_trace_length < 1:
+            raise InvalidParamsError(
+                f"the trace length bound must hold the input letter (at least 1), got {max_trace_length}"
+            )
         return cls(k, max_trace_length, witness_limit, node_budget)
 
 
@@ -373,13 +376,10 @@ class Evaluator:
         self.nodes = 0
         self.exists_calls = 0
         self.table_hits = 0
-        # Per input: a module's choices depend only on the registers it
-        # reads, its successors on the frontier letter, which recurs a lot
-        # across branches of the search; the table holds the definite
-        # answers of module-bearing checks.
+        # Per input: a module's choices, which depend only on the registers
+        # it reads, and the definite answers of module-bearing checks.
         self._input: Optional[Structure] = None
         self._choices: dict[tuple, tuple] = {}
-        self._succ: dict[tuple, tuple] = {}
         self._table: dict[tuple, bool] = {}
 
     def _bind(self, input_structure: Structure) -> None:
@@ -387,24 +387,18 @@ class Evaluator:
         if input_structure is not self._input:
             self._input = input_structure
             self._choices.clear()
-            self._succ.clear()
             self._table.clear()
 
-    def _successors(self, name: str, letter) -> tuple:
-        """The ``(letter, choice)`` successors of ``letter`` by the module
-        ``name``.  Its choices are cached on the values of the registers it
-        reads, and built once per distinct value; the letters, which keep
-        every other register (inertia), once per frontier valuation."""
-        key = (name, letter.registers)
-        cached = self._succ.get(key)
-        if cached is None:
-            module = self.program.compiled[name]
-            reads = (name, module.reads(letter.registers))
-            choices = self._choices.get(reads)
-            if choices is None:
-                choices = self._choices[reads] = successor_choices(module, letter)
-            cached = self._succ[key] = tuple((apply_choice(letter, c), c) for c in choices)
-        return cached
+    def _successors(self, name: str, trace: Trace) -> tuple[Choice, ...]:
+        """The choices of the module ``name`` at the last letter of
+        ``trace``, cached on the values of the registers it reads and built
+        once per distinct value."""
+        module = self.program.compiled[name]
+        key = (name, module.reads(trace.last))
+        choices = self._choices.get(key)
+        if choices is None:
+            choices = self._choices[key] = successor_choices(module, trace.input, trace.last)
+        return choices
 
     # --- search ----------------------------------------------------------
 
@@ -415,8 +409,10 @@ class Evaluator:
 
         Depth first, from one explicit stack of ``(node, trace,
         continuation, scope)`` entries; a continuation is ``None`` or a
-        linked ``(node, rest)`` pair.  The Python stack grows only with the
-        nesting of universal checks, not with sequence chains or traces."""
+        linked ``(node, rest)`` pair.  A module pushes one entry per choice,
+        and a choice is applied to its trace only when it is popped.  The
+        Python stack grows only with the nesting of universal checks, not
+        with sequence chains or traces."""
         max_length, budget = self.cfg.max_trace_length, self.cfg.node_budget
         stack = [(term, trace, None, scope)]
         while stack:
@@ -426,19 +422,19 @@ class Evaluator:
                 if cls is T.Seq:
                     node, k = node.left, (node.right, k)
                     continue
-                if cls is tuple:  # a successor ``(letter, choice)``
+                if cls is Choice:  # a successor of ``trace``
                     if budget is not None and self.nodes >= budget:
                         scope.hit = True
                         break
                     self.nodes += 1
-                    trace = trace.extend(*node)
+                    trace = trace.extend(apply_choice(trace.input, trace.last, node), node)
                 elif cls is T.ModuleRef:
                     if trace.length >= max_length:
                         scope.hit = True
                         break
-                    # counted and budget-checked only when popped
-                    succ = self._successors(node.name, trace.last)
-                    stack += [(s, trace, k, scope) for s in reversed(succ)]
+                    # counted, budget-checked and applied only when popped
+                    succ = self._successors(node.name, trace)
+                    stack += [(c, trace, k, scope) for c in reversed(succ)]
                     break
                 elif cls is T.BackGlobal:
                     if not check_bg(node.current, node.past, trace):
@@ -483,7 +479,7 @@ class Evaluator:
                     node = node.right
                     continue
                 elif node is _AGAIN or cls is T.MaxIterate:
-                    key = trace.last.registers
+                    key = trace.last
                     if node is _AGAIN:  # the body of ``scope`` made a step
                         scope.stepped = True
                         if key in scope.seen:
@@ -554,7 +550,7 @@ class Evaluator:
         cur, past = fp
         return (
             id(term),
-            cur(trace.last.registers),
+            cur(trace.last),
             past(trace.hist) if past is not None else None,
             trace.length,
         )
@@ -685,11 +681,10 @@ class Evaluator:
                         raise ChoiceMismatchError(
                             f"certificate names module {choice.module}, derivation needs {name}"
                         )
-                    check_choice(self.program.compiled[name], trace.last, choice)
-                    letter = apply_choice(trace.last, choice)
+                    check_choice(self.program.compiled[name], trace.input, trace.last, choice)
                     chooser.pos += 1
                     self.nodes += 1
-                    trace = trace.extend(letter, choice)
+                    trace = trace.extend(apply_choice(trace.input, trace.last, choice), choice)
                 case T.Seq(a, b):
                     work.append(b)
                     work.append(a)
@@ -705,7 +700,7 @@ class Evaluator:
                         raise ChoiceMismatchError("union arm check inconclusive")
                     work.append(a if r else b)
                 case T.MaxIterate(a):
-                    seen = {trace.last.registers}
+                    seen = {trace.last}
                     while True:
                         r = self.exists(a, trace)
                         if r is False:
@@ -713,7 +708,7 @@ class Evaluator:
                         if r is None:
                             raise ChoiceMismatchError("iterate exit check inconclusive")
                         trace = self._replay(a, trace, chooser)
-                        key = trace.last.registers
+                        key = trace.last
                         if key in seen:
                             raise ChoiceMismatchError("iterate revisits a milestone valuation")
                         seen.add(key)

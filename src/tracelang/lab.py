@@ -45,7 +45,7 @@ class DeltaSet:
 
     def __post_init__(self):
         for ext in self.extensions:
-            if ext.letters[: len(self.base)] != self.base.letters:
+            if ext.key()[: len(self.base)] != self.base.key():
                 raise ValueError("extension does not extend its base")
 
 
@@ -60,10 +60,8 @@ def _deno(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig) -> tu
             module = program.compiled.get(name)
             if module is None:  # a program built directly can lack it
                 raise UnknownModuleError(f"module {name} is undefined or has a rule that does not compile")
-            last = trace.last
-            exts = frozenset(
-                trace.extend(apply_choice(last, c), c) for c in successor_choices(module, last)
-            )
+            s, r = trace.input, trace.last
+            exts = frozenset(trace.extend(apply_choice(s, r, c), c) for c in successor_choices(module, s, r))
             return exts, True
         case T.Seq():
             # the left spine in a loop, so a long ``;`` chain stays flat
@@ -95,7 +93,7 @@ def _deno(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig) -> tu
                 return frozenset(), False
             return _deno(program, b, trace, cfg)
         case T.MaxIterate(a):
-            return _deno_iterate(program, a, trace, frozenset((trace.last.registers,)), cfg)
+            return _deno_iterate(program, a, trace, frozenset((trace.last,)), cfg)
         case T.EqTest(p, q):
             return (frozenset((trace,)) if check_eq(p, q, trace) else frozenset()), True
         case T.BackGlobal(p, q):
@@ -114,7 +112,7 @@ def _deno_iterate(
         return frozenset(), False
     out: set[Trace] = set()
     for u in steps:
-        key = u.last.registers
+        key = u.last
         if key in seen:
             continue  # revisiting a milestone valuation is not an unfolding
         more, ok = _deno_iterate(program, body, u, seen | {key}, cfg)
@@ -178,7 +176,7 @@ def before_after_equivalent(
     g = T.desugar(g)
 
     def proj(base: Trace, exts: frozenset[Trace]) -> frozenset:
-        return frozenset((base.last.registers, e.last.registers) for e in exts)
+        return frozenset((base.last, e.last) for e in exts)
 
     for base in bases:
         dt, ct = _deno(program, t, base, cfg)

@@ -2,16 +2,18 @@
 
 A module is a set of rules, each guessing one element out of a unary
 conjunctive query's answer set into a register.  All rule bodies are
-evaluated against the source structure before any register is written, and
+evaluated against the source letter before any register is written, and
 everything a module does not write stays unchanged (inertia).  A module with
-an empty answer set for any rule has no transition at all from that
-structure.
+an empty answer set for any rule has no transition at all from that letter.
 
-A program compiles each of its modules once (``Program.compiled``) into a
-:class:`CompiledModule`: per rule, the generated answer and membership
-functions of its body (see ``cq``), and a getter for the registers the
-bodies read.  The outcomes of a module depend on the structure only through
-those registers, so a search may reuse them wherever they agree.
+A letter is the input structure ``s`` under a register valuation ``r``:
+the functions here take both, and :func:`apply_choice` returns the next
+valuation.  A program compiles each of its modules once
+(``Program.compiled``) into a :class:`CompiledModule`: per rule, the
+generated answer and membership functions of its body (see ``cq``), and a
+getter for the registers the bodies read.  The outcomes of a module depend
+on the valuation only through those registers, so a search may reuse them
+wherever they agree.
 """
 
 from __future__ import annotations
@@ -72,16 +74,17 @@ class Choice:
         return dict(self.assignment)
 
 
-def successor_choices(m: CompiledModule, s: Structure) -> tuple[Choice, ...]:
-    """All outcomes of ``m`` at ``s``: the product of the rules' answer sets.
+def successor_choices(m: CompiledModule, s: Structure, r: tuple) -> tuple[Choice, ...]:
+    """All outcomes of ``m`` at ``s`` under the valuation ``r``: the product
+    of the rules' answer sets.
 
     Empty iff some rule has an empty answer set, in which case the module is
-    undefined at ``s``.  Enumeration order is deterministic: element
+    undefined there.  Enumeration order is deterministic: element
     declaration order within each rule, rules in declaration order.
     """
     answers = []
     for rule in m.answers:
-        found = rule(s)
+        found = rule(s, r)
         if not found:
             return ()
         answers.append(sorted(found, key=s.element_order))
@@ -90,26 +93,27 @@ def successor_choices(m: CompiledModule, s: Structure) -> tuple[Choice, ...]:
     )
 
 
-def check_choice(m: CompiledModule, s: Structure, c: Choice) -> None:
+def check_choice(m: CompiledModule, s: Structure, r: tuple, c: Choice) -> None:
     """Raise ``StaleChoiceError`` unless ``c`` is an outcome of ``m`` at
-    ``s``: it writes each register of ``m`` once, and nothing else, with an
-    element of that rule's answer set.  Each element is tested with its
-    rule's membership function; no answer set is built."""
+    ``s`` under ``r``: it writes each register of ``m`` once, and nothing
+    else, with an element of that rule's answer set.  Each element is tested
+    with its rule's membership function; no answer set is built."""
     assigned = c.as_dict()
     if len(assigned) != len(c.assignment) or set(assigned) != set(m.heads):
         raise StaleChoiceError(f"choice for {c.module} writes the wrong registers")
     for head, member in zip(m.heads, m.members):
-        if not member(s, assigned[head]):
+        if not member(s, r, assigned[head]):
             raise StaleChoiceError(
                 f"choice {head}={assigned[head]} is not in the answer set of {c.module}"
             )
 
 
-def apply_choice(s: Structure, c: Choice) -> Structure:
-    """Write the chosen elements; all other registers keep their values.
-    The choice is not checked: see :func:`check_choice`."""
+def apply_choice(s: Structure, r: tuple, c: Choice) -> tuple:
+    """The valuation after ``c`` writes its elements into ``r``; all other
+    registers keep their values.  The choice is not checked: see
+    :func:`check_choice`."""
     rindex = s.vocabulary.register_index
-    registers = list(s.registers)
+    registers = list(r)
     for reg, value in c.assignment:
         registers[rindex[reg]] = value
-    return s.with_registers(tuple(registers))
+    return tuple(registers)

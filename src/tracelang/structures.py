@@ -3,9 +3,10 @@
 The vocabulary separates fixed input relations (EDB, any arity) from monadic
 "registers" whose interpretation changes along a computation.  A register
 holds either one domain element or the blank marker, represented as ``None``
-(spelled ``_`` in structure files).  Structures are immutable; a register
-update builds a new structure that shares the domain and EDB tables of the
-old one, so the letters of a trace cost one valuation tuple each.
+(spelled ``_`` in structure files).  Structures are immutable.  A trace
+keeps one structure, its input, and one register valuation tuple per letter
+(see ``engine.Trace``); ``with_registers`` builds a letter's structure when
+one is asked for, sharing the domain and EDB tables.
 
 Structure file format (line oriented, ``#`` starts a comment)::
 
@@ -102,7 +103,7 @@ class Vocabulary:
 
 
 class Structure:
-    """One letter of a trace: domain, EDB tables, register valuation.
+    """Domain, EDB tables and a register valuation.
 
     Immutable.  ``registers`` is a tuple aligned with
     ``vocabulary.register_symbols``; entries are an element or ``None``.
@@ -145,7 +146,7 @@ class Structure:
         )
         object.__setattr__(self, "registers", registers)
         object.__setattr__(self, "_dindex", {e: i for i, e in enumerate(domain)})
-        object.__setattr__(self, "_usets", {})  # unary EDB interp cache, shared down a trace
+        object.__setattr__(self, "_usets", {})  # unary EDB interp cache, shared by ``with_registers``
         object.__setattr__(self, "_index", {})  # EDB hash indexes of ``cq``, shared likewise
 
     def __setattr__(self, *_):

@@ -26,6 +26,7 @@ from tracelang.engine import (
     witness_length,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
+from tracelang.modules import apply_choice
 from tracelang.parser import parse_program
 from tracelang.problems import (
     ProblemId,
@@ -401,11 +402,11 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         # build a random base trace by a few module steps
         base = Trace.initial(s)
         for _ in range(rng.randint(0, 2)):
-            steps = ev._successors(rng.choice(sorted(prog.modules)), base.last)
+            steps = ev._successors(rng.choice(sorted(prog.modules)), base)
             if not steps:
                 break
-            letter, choice = rng.choice(steps)
-            base = base.extend(letter, choice)
+            choice = rng.choice(steps)
+            base = base.extend(apply_choice(s, base.last, choice), choice)
         single, c1 = ev.extensions(T.AntiDomain(t), base)
         if not c1 or not single:
             continue  # only bases where the anti-domain passes count

@@ -47,6 +47,19 @@ def test_every_command_rejects_a_negative_k(even_files, capsys):
     assert capsys.readouterr().err.count("k must be nonnegative, got -1") == 3
 
 
+def test_a_length_bound_below_one_is_a_usage_exit(even_files, capsys):
+    # the bound counts the input letter, so no bound below 1 can hold it
+    files = ["--program", even_files["program"], "--structure", even_files[4]]
+    assert main(["run", *files, "--max-len", "0"]) == 64
+    assert main(["equiv", *files, "--left", "id", "--right", "id", "--max-len", "-1"]) == 64
+    assert main(["run", *files, "--max-len", "x"]) == 64
+    err = capsys.readouterr().err
+    assert "max-len must be at least 1, the input letter, got 0" in err
+    assert "max-len must be at least 1, the input letter, got -1" in err
+    assert "max-len must be an integer, got 'x'" in err
+    assert main(["run", *files, "--max-len", "1"]) == 2  # bound-exceeded
+
+
 def test_witness_write_verify_and_hash_mismatch(even_files, tmp_path, capsys):
     witness = tmp_path / "w.json"
     assert (

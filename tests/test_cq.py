@@ -8,8 +8,8 @@ import tokenize
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracelang.cq import Atom, CQBody, Const, compile_body, evaluate_unary_cq, free_and_bound_vars
-from tracelang.errors import ArityError, HeadVarUnusedError, UnknownSymbolError
+from tracelang.cq import Atom, CQBody, Const, compile_body, evaluate_unary_cq
+from tracelang.errors import ArityError, UnknownSymbolError
 from tracelang.structures import Structure, Vocabulary, permute_structure
 
 from helpers import naive_unary_cq, random_structure, structure_of
@@ -47,15 +47,6 @@ def test_errors():
     s2 = structure_of(("a",), {"E": {("a", "a")}})
     with pytest.raises(ArityError):
         evaluate_unary_cq(CQBody("x", (Atom("E", ("x",)),)), s2)
-
-
-def test_free_and_bound_vars():
-    body = CQBody("x2", (Atom("X", ("x1",)), Atom("E", ("x1", "z")), Atom("E", ("z", "x2"))))
-    assert free_and_bound_vars(body) == ("x2", frozenset({"x1", "z"}))
-    body2 = CQBody("x", (Atom("adom", ("x",)),))
-    assert free_and_bound_vars(body2) == ("x", frozenset())
-    with pytest.raises(HeadVarUnusedError):
-        free_and_bound_vars(CQBody("x", (Atom("E", ("y", "z")),)))
 
 
 def _random_body(rng):
@@ -179,9 +170,10 @@ def test_indexed_join_agrees_with_naive_oracle():
 
 
 def test_letters_of_one_structure_share_an_index_of_the_edb_only():
-    # The index is built once per EDB table and shared by every letter that
-    # with_registers derives; evaluating the letters in alternation shows it
-    # never keeps a register value from the letter that built it.
+    # The index is built once per EDB table and kept on the structure, which
+    # a run evaluates under the valuation of every letter of its trace;
+    # evaluating the valuations in alternation shows it never keeps a
+    # register value from the valuation that built it.
     rng = random.Random(23)
     for _ in range(40):
         s = _join_structure(rng)
@@ -189,7 +181,9 @@ def test_letters_of_one_structure_share_an_index_of_the_edb_only():
         bodies = [_random_join_body(rng, s.domain) for _ in range(4)]
         for _ in range(3):
             for body in bodies:
+                query = compile_body(body, s.vocabulary)
                 for letter in letters:
+                    assert query.answers(s, letter.registers) == naive_unary_cq(body, letter)
                     assert evaluate_unary_cq(body, letter) == naive_unary_cq(body, letter)
 
 
@@ -255,10 +249,10 @@ def test_generated_code_agrees_with_the_oracle_and_names_nothing(case):
     s, body = case
     query = compile_body(body, s.vocabulary)
     answers = naive_unary_cq(body, s)
-    assert query.answers(s) == answers
+    assert query.answers(s, s.registers) == answers
     assert evaluate_unary_cq(body, s) == answers
     for element in (*s.domain, "not an element"):
-        assert query.member(s, element) == (element in answers)
+        assert query.member(s, s.registers, element) == (element in answers)
     # The source holds no string literal, and every identifier in it is the
     # generator's own: no symbol name or constant reaches it as text, so a
     # body whose names and constants are all replaced has the same source.
@@ -280,6 +274,6 @@ def test_a_long_body_is_cut_into_nested_functions():
     atoms = tuple(Atom("E", (f"x{i}", f"x{i + 1}")) for i in range(300))
     for head in ("x0", "x150", "x300"):
         query = compile_body(CQBody(head, atoms), s.vocabulary)
-        assert query.answers(s) == {"a", "b", "c"} and query.member(s, "a")
+        assert query.answers(s, s.registers) == {"a", "b", "c"} and query.member(s, s.registers, "a")
     s2 = structure_of(("a", "b", "c"), {"E": {("a", "b"), ("b", "c")}})
-    assert compile_body(CQBody("x0", atoms), s2.vocabulary).answers(s2) == set()
+    assert compile_body(CQBody("x0", atoms), s2.vocabulary).answers(s2, s2.registers) == set()

@@ -21,7 +21,7 @@ from tracelang.engine import (
     verify_witness,
     witness_length,
 )
-from tracelang.errors import ParseError, TraceLangError
+from tracelang.errors import InvalidParamsError, ParseError, TraceLangError
 from tracelang.lab import UNKNOWN, is_defined
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
 from tracelang.parser import MAX_NESTING, Program, parse_program
@@ -53,7 +53,7 @@ def test_eval_module_yields_one_extension_per_choice():
     prog = guess_program(s)
     found, complete = eval_deltas(prog, prog.main, Trace.initial(s), _cfg(prog, s))
     assert complete and len(found) == 2
-    assert sorted(t.last.register_value("P") for t in found) == ["a", "b"]
+    assert sorted(t.last for t in found) == [("a",), ("b",)]
     assert all(len(t) == 2 for t in found)
 
 
@@ -93,6 +93,9 @@ def test_check_eq():
     s = structure_of(("t",), {"T": {("t",)}}, registers=("Reach", "Q"), arities={"T": 1})
     tr = Trace.initial(s.with_registers(("t", None)))
     assert check_eq("Reach", "T", tr)
+    # a register against an EDB symbol, either side; blank is the empty set
+    assert check_eq("T", "Reach", tr) and not check_eq("Q", "T", tr)
+    assert not check_eq("Reach", "T", Trace.initial(s))
     blank = Trace.initial(structure_of(("a",), registers=("P", "Q")))
     assert check_eq("P", "Q", blank)
     two = Trace.initial(
@@ -108,16 +111,16 @@ def test_check_bg():
     assert check_bg("P", "P", base)
 
     # after O held a, guessing P=a violates BG(P != O)
-    mid = base.extend(s.with_registers((None, "a")), Choice("m", (("O", "a"),)))
-    late = mid.extend(s.with_registers(("a", "a")), Choice("m", (("P", "a"),)))
+    mid = base.extend((None, "a"), Choice("m", (("O", "a"),)))
+    late = mid.extend(("a", "a"), Choice("m", (("P", "a"),)))
     assert not check_bg("P", "O", late)
-    fresh = mid.extend(s.with_registers(("b", "a")), Choice("m", (("P", "b"),)))
+    fresh = mid.extend(("b", "a"), Choice("m", (("P", "b"),)))
     assert check_bg("P", "O", fresh)
 
 
 def test_check_bg_blank_equals_blank():
     s = structure_of(("a",), registers=("P", "Q"))
-    tr = Trace.initial(s).extend(s, Choice("m", ()))
+    tr = Trace.initial(s).extend(s.registers, Choice("m", ()))
     # P blank now, Q blank earlier: the interpretations coincide
     assert not check_bg("P", "Q", tr)
 
@@ -318,7 +321,7 @@ def test_element_constants_in_rule_bodies():
     prog = _program('module PickFromA { P(y) <~ E("a", y) }\nterm: PickFromA', s)
     verdict = run_main_task(prog, s)
     assert verdict.kind == "yes"
-    assert verdict.trace.last.register_value("P") == "b"
+    assert verdict.trace.letters[-1].register_value("P") == "b"
 
     # a constant outside the domain is rejected when the program meets a
     # concrete structure
@@ -414,7 +417,8 @@ def test_replay_tests_each_choice_without_building_an_answer_set(monkeypatch):
 
     for prog, s, witness in _replay_certificates():
 
-        def oracle_successors(m, letter, rules=prog.modules):
+        def oracle_successors(m, s, valuation, rules=prog.modules):
+            letter = s.with_registers(valuation)
             answers = [sorted(naive_unary_cq(r.body, letter), key=letter.element_order) for r in rules[m.name].rules]
             return tuple(Choice(m.name, tuple(zip(m.heads, combo))) for combo in itertools.product(*answers))
 
@@ -426,6 +430,45 @@ def test_replay_tests_each_choice_without_building_an_answer_set(monkeypatch):
                 m.setitem(prog.compiled, name, module._replace(answers=(refuse,) * len(module.answers)))
             trace = Evaluator(prog, _cfg(prog, s)).replay(s, witness)
         assert trace.choices == witness.choices
+
+
+def test_search_replay_and_the_lab_build_no_structure_per_step(monkeypatch):
+    # A trace keeps its one input structure and a register tuple per letter,
+    # so no search, replay or lab evaluation derives a letter's structure.
+    from tracelang import lab
+    from tracelang.problems import ProblemId, build_program, make_st_instance
+    from tracelang.structures import Structure
+
+    def refuse(*_):
+        raise AssertionError("a step built a Structure")
+
+    _, (mod2, s2, witness) = _replay_certificates()
+    path = make_st_instance(6, [(i, i + 1) for i in range(5)], 0, 5)
+    st = build_program(ProblemId.ST_CONNECTIVITY, path.vocabulary)
+    bases, cfg = [Trace.initial(path)], _cfg(st, path)
+    with monkeypatch.context() as m:
+        m.setattr(Structure, "with_registers", refuse)
+        assert run_main_task(st, path).kind == "yes"
+        assert verify_witness(mod2, s2, witness)
+        assert lab.strongly_equivalent(st, st.main, T.Seq(T.Id(), st.main), bases, cfg) is True
+
+
+def test_a_choice_is_applied_only_when_the_search_pops_it(monkeypatch):
+    # A module pushes its choices unapplied; the first one popped succeeds,
+    # so the other 99 are neither counted nor applied.
+    s = structure_of(tuple(f"d{i}" for i in range(100)), registers=("P",))
+    prog = guess_program(s)
+    applied = []
+    real_apply_choice = engine.apply_choice
+
+    def counting_apply_choice(*args):
+        applied.append(args)
+        return real_apply_choice(*args)
+
+    monkeypatch.setattr(engine, "apply_choice", counting_apply_choice)
+    verdict = run_main_task(prog, s)
+    assert verdict.kind == "yes" and verdict.nodes == 1
+    assert len(applied) == 1
 
 
 def test_a_choice_outside_the_answer_set_fails_with_its_reason():
@@ -503,17 +546,17 @@ def test_persistent_trace_matches_tuple_reference():
             values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
             choice = Choice("m", tuple(zip(("P", "Q"), values)))
             if rng.random() < 0.3:
-                node.extend(s.with_registers(values), choice)  # probe, dropped
+                node.extend(values, choice)  # probe, dropped
                 values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
             letter = s.with_registers(values)
-            nodes.append((node.extend(letter, choice), letters + (letter,), choices + (choice,)))
+            nodes.append((node.extend(values, choice), letters + (letter,), choices + (choice,)))
         # an equal chain with no shared ancestor, from an equal input
         twin = Trace.initial(structure_of(
             ("a", "b", "c"), {"U": {("a",), ("c",)}}, registers=("P", "Q"), arities={"U": 1}
         ))
         _, letters, choices = max(nodes, key=lambda n: len(n[1]))
         for letter, choice in zip(letters[1:], choices):
-            twin = twin.extend(letter, choice)
+            twin = twin.extend(letter.registers, choice)
         nodes.append((twin, letters, choices))
         # same valuations over a different EDB: never equal
         other = Trace.initial(structure_of(
@@ -524,7 +567,7 @@ def test_persistent_trace_matches_tuple_reference():
         for trace, letters, choices in nodes:
             assert trace.letters == letters and trace.choices == choices
             assert trace.key() == tuple(letter.registers for letter in letters)
-            assert len(trace) == len(letters) and trace.last is letters[-1]
+            assert len(trace) == len(letters) and trace.last is letters[-1].registers
             for p in ("P", "Q", "U"):
                 for q in ("P", "Q", "U"):
                     assert check_bg(p, q, trace) == _ref_check_bg(p, q, letters)
@@ -568,11 +611,11 @@ def _random_walk(rng, program, trace, steps):
     """Extend ``trace`` by up to ``steps`` random module steps."""
     for _ in range(steps):
         module = program.compiled[rng.choice(sorted(program.modules))]
-        choices = successor_choices(module, trace.last)
+        choices = successor_choices(module, trace.input, trace.last)
         if not choices:
             break
         choice = rng.choice(choices)
-        trace = trace.extend(apply_choice(trace.last, choice), choice)
+        trace = trace.extend(apply_choice(trace.input, trace.last, choice), choice)
     return trace
 
 
@@ -591,7 +634,7 @@ def _trace_of(s, valuations):
     """The trace over input ``s`` whose later letters hold ``valuations``."""
     trace = Trace.initial(s)
     for values in valuations:
-        trace = trace.extend(s.with_registers(values), Choice("m", ()))
+        trace = trace.extend(values, Choice("m", ()))
     return trace
 
 
@@ -725,12 +768,12 @@ def _reference_extensions(ev, term, trace, scope):
         if trace.length >= ev.cfg.max_trace_length:
             scope.hit = True
             return
-        for letter, choice in ev._successors(term.name, trace.last):
+        for choice in ev._successors(term.name, trace):
             if ev.cfg.node_budget is not None and ev.nodes >= ev.cfg.node_budget:
                 scope.hit = True
                 return
             ev.nodes += 1
-            yield trace.extend(letter, choice)
+            yield trace.extend(apply_choice(trace.input, trace.last, choice), choice)
     elif cls is T.Seq:
         for u in _reference_extensions(ev, term.left, trace, scope):
             yield from _reference_extensions(ev, term.right, u, scope)
@@ -741,7 +784,7 @@ def _reference_extensions(ev, term, trace, scope):
         else:
             yield from _reference_extensions(ev, term.left if r else term.right, trace, scope)
     elif cls is T.MaxIterate:
-        yield from _reference_iterate(ev, term.term, trace, {trace.last.registers}, scope)
+        yield from _reference_iterate(ev, term.term, trace, {trace.last}, scope)
     elif cls is T.AntiDomain:
         r = ev.exists(term.term, trace)
         if r is None:
@@ -756,7 +799,7 @@ def _reference_iterate(ev, body, trace, seen, scope):
     sub, stepped = engine._Scope(), False
     for u in _reference_extensions(ev, body, trace, sub):
         stepped = True
-        key = u.last.registers
+        key = u.last
         if key not in seen:
             seen.add(key)
             yield from _reference_iterate(ev, body, u, seen, scope)
@@ -879,7 +922,7 @@ def test_footprint_of_a_term_that_touches_no_register():
         _program("module Noop { }\nterm: ~Noop", s)
     prog = Program(s.vocabulary, guess_program(s).modules, T.AntiDomain(T.Id()))
     cur, past = prog.footprint[id(prog.core.term)]
-    assert cur(Trace.initial(s).last.registers) == () and past is None
+    assert cur(Trace.initial(s).last) == () and past is None
 
 
 def test_public_calls_restore_the_recursion_limit(monkeypatch):
@@ -938,6 +981,12 @@ def test_length_bound_is_cut_and_k_must_be_nonnegative():
     assert _cfg(prog, s, k=10**9).max_trace_length == 2**62 + 2
     with pytest.raises(TraceLangError):
         _cfg(prog, s, k=-1)
+    # a given length bound must hold the input letter
+    for bad in (0, -1):
+        with pytest.raises(InvalidParamsError, match="at least 1"):
+            _cfg(prog, s, max_trace_length=bad)
+    cfg = _cfg(prog, s, max_trace_length=1)
+    assert cfg.max_trace_length == 1 and run_main_task(prog, s, cfg).kind == "bound-exceeded"
 
 
 def test_a_deep_pow_of_a_test_decides_in_one_step():

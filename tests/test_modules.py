@@ -15,13 +15,18 @@ def _module(name, *rules):
     return ModuleDef(name, tuple(Rule(h, b) for h, b in rules))
 
 
+def _after(s, c):
+    """The letter that ``c`` makes from ``s``."""
+    return s.with_registers(apply_choice(s, s.registers, c))
+
+
 def guess_p():
     return _module("GuessP", ("P", CQBody("x", (Atom("adom", ("x",)),))))
 
 
 def test_guess_choices_enumerate_domain_in_order():
     s = structure_of(("a", "b", "c"), registers=("P",))
-    choices = successor_choices(compiled(guess_p(), s.vocabulary), s)
+    choices = successor_choices(compiled(guess_p(), s.vocabulary), s, s.registers)
     assert [c.as_dict() for c in choices] == [{"P": "a"}, {"P": "b"}, {"P": "c"}]
 
 
@@ -35,20 +40,21 @@ def test_empty_answer_set_makes_module_undefined():
         ("PickQ", CQBody("x", (Atom("Q", ("x",)),))),
     )
     m2 = compiled(m, s.vocabulary)
-    assert successor_choices(m2, s) == ()
-    assert [apply_choice(s, c) for c in successor_choices(m2, s)] == []
+    assert successor_choices(m2, s, s.registers) == ()
+    assert [_after(s, c) for c in successor_choices(m2, s, s.registers)] == []
 
 
 def test_blank_register_body_gives_no_choices():
     s = structure_of(("a",), registers=("P", "R"))
     m = _module("CopyR", ("P", CQBody("x", (Atom("R", ("x",)),))))
-    assert successor_choices(compiled(m, s.vocabulary), s) == ()
+    assert successor_choices(compiled(m, s.vocabulary), s, s.registers) == ()
 
 
 def test_apply_choice_writes_only_named_registers():
     s = structure_of(("a", "b"), registers=("P", "Q"), state={"Q": "b"})
-    (choice,) = [c for c in successor_choices(compiled(guess_p(), s.vocabulary), s) if c.as_dict() == {"P": "a"}]
-    out = apply_choice(s, choice)
+    (choice,) = [c for c in successor_choices(compiled(guess_p(), s.vocabulary), s, s.registers) if c.as_dict() == {"P": "a"}]
+    assert apply_choice(s, s.registers, choice) == ("a", "b")
+    out = _after(s, choice)
     assert out.register_value("P") == "a"
     assert out.register_value("Q") == "b"  # inertia
     assert not structures_equal(out, s)
@@ -57,7 +63,7 @@ def test_apply_choice_writes_only_named_registers():
 def test_apply_choice_noop_write_keeps_structure_equal():
     s = structure_of(("a",), registers=("P",), state={"P": "a"})
     m = _module("KeepP", ("P", CQBody("x", (Atom("P", ("x",)),))))
-    (only,) = [apply_choice(s, c) for c in successor_choices(compiled(m, s.vocabulary), s)]
+    (only,) = [_after(s, c) for c in successor_choices(compiled(m, s.vocabulary), s, s.registers)]
     assert structures_equal(only, s)  # self-loops are legal outcomes
 
 
@@ -65,12 +71,12 @@ def test_check_choice_validates_against_answer_sets():
     m = _module("PickU", ("P", CQBody("x", (Atom("U", ("x",)),))))
     s2 = structure_of(("a", "b"), {"U": {("a",)}}, registers=("P", "Q"), arities={"U": 1})
     m2 = compiled(m, s2.vocabulary)
-    check_choice(m2, s2, Choice("PickU", (("P", "a"),)))
+    check_choice(m2, s2, s2.registers, Choice("PickU", (("P", "a"),)))
     with pytest.raises(StaleChoiceError, match="P=b is not in the answer set of PickU"):
-        check_choice(m2, s2, Choice("PickU", (("P", "b"),)))
+        check_choice(m2, s2, s2.registers, Choice("PickU", (("P", "b"),)))
     for wrong in ((("Q", "a"),), (("P", "a"), ("Q", "a")), (("P", "a"), ("P", "a")), ()):
         with pytest.raises(StaleChoiceError, match="writes the wrong registers"):
-            check_choice(m2, s2, Choice("PickU", wrong))
+            check_choice(m2, s2, s2.registers, Choice("PickU", wrong))
 
 
 def test_duplicate_heads_rejected():
@@ -82,7 +88,7 @@ def test_duplicate_heads_rejected():
 def test_deterministic_module_has_one_successor():
     s = structure_of(("a", "b"), registers=("P", "R"), state={"R": "a"})
     copy = _module("Copy", ("P", CQBody("x", (Atom("R", ("x",)),))))
-    assert len([apply_choice(s, c) for c in successor_choices(compiled(copy, s.vocabulary), s)]) == 1
+    assert len([_after(s, c) for c in successor_choices(compiled(copy, s.vocabulary), s, s.registers)]) == 1
 
 
 def test_successor_count_is_product_of_answer_sets():
@@ -97,7 +103,7 @@ def test_successor_count_is_product_of_answer_sets():
             expected = 1
             for rule in m.rules:
                 expected *= len(evaluate_unary_cq(rule.body, s))
-            assert len(successor_choices(compiled(m, s.vocabulary), s)) == (expected if expected else 0)
+            assert len(successor_choices(compiled(m, s.vocabulary), s, s.registers)) == (expected if expected else 0)
 
 
 def test_inertia_on_random_modules():
@@ -106,7 +112,7 @@ def test_inertia_on_random_modules():
         s = random_structure(rng)
         for m in random_modules(rng).values():
             written = {r.head for r in m.rules}
-            for succ in (apply_choice(s, c) for c in successor_choices(compiled(m, s.vocabulary), s)):
+            for succ in (_after(s, c) for c in successor_choices(compiled(m, s.vocabulary), s, s.registers)):
                 assert succ.edb == s.edb and succ.domain == s.domain
                 for reg in s.vocabulary.register_symbols:
                     if reg not in written:
@@ -120,7 +126,7 @@ def test_choices_cover_cartesian_product():
         ("P", CQBody("x", (Atom("adom", ("x",)),))),
         ("Q", CQBody("x", (Atom("adom", ("x",)),))),
     )
-    combos = {tuple(sorted(c.as_dict().items())) for c in successor_choices(compiled(m, s.vocabulary), s)}
+    combos = {tuple(sorted(c.as_dict().items())) for c in successor_choices(compiled(m, s.vocabulary), s, s.registers)}
     expected = {
         (("P", p), ("Q", q)) for p, q in itertools.product(("a", "b"), repeat=2)
     }
