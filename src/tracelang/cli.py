@@ -22,6 +22,8 @@ and ``table_hits`` (see ``engine.Evaluator``) and its two bounds (``k`` with
 cap and ``nodes_explored`` count module steps actually expanded; a universal
 check answered directly on the trace or from the evaluator's table expands
 none, and the left arm of a union is expanded once, by the search itself.
+``equiv`` reads the same cap as the number of successor traces the lab may
+build, and answers unknown past it; ``verify`` does not read it yet.
 """
 
 from __future__ import annotations
@@ -147,7 +149,9 @@ def cmd_equiv(args) -> int:
     program = parse_program(_read(args.program), structure.vocabulary)
     left = parse_term(args.left)
     right = parse_term(args.right)
-    cfg = SearchConfig.for_run(program, structure, k=args.k, max_trace_length=args.max_len)
+    cfg = SearchConfig.for_run(
+        program, structure, k=args.k, max_trace_length=args.max_len, node_budget=_node_budget()
+    )
     bases = [Trace.initial(structure)]
     check = strongly_equivalent if args.mode == "strong" else before_after_equivalent
     result = check(program, left, right, bases, cfg)

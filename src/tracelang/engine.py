@@ -230,7 +230,8 @@ class SearchConfig:
     stay conclusive at very small domains.  No search builds a trace near
     ``2 ** 62`` letters, so the default is cut there: no answer changes, and
     a huge ``k`` costs no more than ``k = 62``.
-    ``node_budget`` caps the module steps expanded (``None``: no cap).
+    ``node_budget`` caps the module steps expanded (``None``: no cap); the
+    lab counts the successor traces it builds against it instead.
     """
 
     k: int = 2

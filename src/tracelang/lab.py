@@ -3,7 +3,8 @@
 ``denotational_deltas`` computes a term's extension set by direct structural
 recursion over eagerly materialized sets of traces.  It is an independent
 second route to the same semantics as the search engine and serves as its
-oracle in tests.
+oracle in tests: it reads a program's modules (``Program.compiled``) and
+nothing else the engine derives.
 
 The equivalence checks implement two notions: trace equivalence (identical
 extension sets on every base) and before-after equivalence (identical
@@ -11,6 +12,25 @@ extension sets on every base) and before-after equivalence (identical
 pair of terms that are both undefined on a base is *not* equivalent there,
 so neither relation is reflexive.  Verdicts are three-valued and always
 relative to the supplied bases and bounds.
+
+Each query evaluates through one :class:`_Deno`, which lives for that call
+and evaluates each shared subterm once per trace:
+
+* the terms it compares are desugared and hash-consed together (Filliatre &
+  Conchon, *Type-safe modular hash-consing*, ML Workshop 2006), so equal
+  subterms, of one side or of both, become one object;
+* a subterm with more than one parent edge in that DAG (a root counts as
+  one) has its extension sets memoised per trace, as a BDD package's
+  computed table memoises on node identity (Bryant, IEEE ToC 1986); no
+  other subterm is memoised, as a memo on every node would keep every
+  intermediate extension set alive for the whole check;
+* a module's outcomes are cached per input structure, module and whole
+  register valuation.
+
+The recursion is unchanged by this: one call per term level, with the left
+spine of a ``;`` chain walked in a loop.  ``node_budget`` caps the successor
+traces a query builds; a module step that would build past it builds none
+and is incomplete, so the answer is UNKNOWN, as at the length bound.
 """
 
 from __future__ import annotations
@@ -49,81 +69,175 @@ class DeltaSet:
                 raise ValueError("extension does not extend its base")
 
 
-def _deno(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig) -> tuple[frozenset[Trace], bool]:
-    """(extension set found, complete?) by structural recursion."""
-    match term:
-        case T.Id():
-            return frozenset((trace,)), True
-        case T.ModuleRef(name):
-            if len(trace) + 1 > cfg.max_trace_length:
-                return frozenset(), False
-            module = program.compiled.get(name)
+_LEAVES = (T.Id, T.ModuleRef, T.EqTest, T.BackGlobal)
+# the empty set and the two empty answers, one object each: most memoised
+# answers are empty
+_NONE: frozenset[Trace] = frozenset()
+_FAILED = _NONE, True  # complete and empty
+_CUT = _NONE, False  # cut off by a bound
+
+
+class _Deno:
+    """The evaluator of one lab query over ``program`` within ``cfg``.
+
+    ``roots`` holds the given terms desugared and hash-consed, in order.
+    ``deno(term, trace)`` takes one of them, or a part of one.
+    """
+
+    def __init__(self, program: Program, cfg: SearchConfig, *terms: T.Term):
+        self.program, self.cfg = program, cfg
+        # (id(input), module, valuation) -> ((valuation after, choice), ...),
+        # with the input, which keeps its id from being reused
+        self.steps: dict[tuple, tuple] = {}
+        self.built = 0  # successor traces built, against cfg.node_budget
+        # One walk over every desugared term, with an explicit stack, once
+        # per object.  The key of a leaf is the leaf; of an inner node, its
+        # class and the ids of its parts' canonical nodes.  ``desugared``
+        # keeps every walked object alive, so that ``canon``'s ids stay theirs.
+        desugared = [T.desugar(t) for t in terms]
+        table: dict = {}
+        canon: dict[int, T.Term] = {}  # id(walked node) -> canonical node
+        edges: dict[int, int] = {}  # id(canonical node) -> parent edges
+        stack = desugared[::-1]
+        while stack:
+            node = stack.pop()
+            if id(node) in canon:
+                continue
+            cls = type(node)
+            if cls is T.Seq or cls is T.PrefUnion:
+                left, right = node.left, node.right
+                a, b = canon.get(id(left)), canon.get(id(right))
+                if a is None or b is None:
+                    stack += (node, right, left)
+                    continue
+                key, kids = (cls, id(a), id(b)), (a, b)
+                fresh = a is not left or b is not right
+            elif cls is T.AntiDomain or cls is T.MaxIterate:
+                a = canon.get(id(node.term))
+                if a is None:
+                    stack += (node, node.term)
+                    continue
+                key, kids, fresh = (cls, id(a)), (a,), a is not node.term
+            elif cls in _LEAVES:
+                key, kids, fresh = node, (), False
+            else:
+                raise TypeError(f"term is not in core form: {node!r}")
+            c = table.get(key)
+            if c is None:
+                c = table[key] = cls(*kids) if fresh else node
+                for kid in kids:
+                    edges[id(kid)] = edges.get(id(kid), 0) + 1
+            canon[id(node)] = c
+        self.roots = [canon[id(t)] for t in desugared]
+        for root in self.roots:
+            edges[id(root)] = edges.get(id(root), 0) + 1
+        # id(shared node) -> {trace: (extension set, complete?)}
+        self.memo: dict[int, dict] = {i: {} for i, n in edges.items() if n > 1}
+
+    def deno(self, term: T.Term, trace: Trace) -> tuple[frozenset[Trace], bool]:
+        """(extension set found, complete?) by structural recursion."""
+        memo = self.memo.get(id(term))
+        if memo is not None:
+            out = memo.get(trace)
+            if out is not None:
+                return out
+        match term:
+            case T.Id():
+                out = frozenset((trace,)), True
+            case T.ModuleRef(name):
+                out = self._step(name, trace)
+            case T.Seq():
+                # the left spine in a loop, so a long ``;`` chain stays flat;
+                # a shared node on it is looked up and stored as on entry
+                spine, node, out = [], term, None
+                while type(node) is T.Seq:
+                    m = self.memo.get(id(node))
+                    if m is not None and node is not term:
+                        out = m.get(trace)
+                        if out is not None:
+                            break
+                    spine.append((node.right, m))
+                    node = node.left
+                found, complete = self.deno(node, trace) if out is None else out
+                for right, m in reversed(spine):
+                    more: set[Trace] = set()
+                    for u in found:
+                        step, ok = self.deno(right, u)
+                        more |= step
+                        complete = complete and ok
+                    found = frozenset(more) if more else _NONE
+                    if m is not None:
+                        m[trace] = found, complete
+                out = found, complete
+            case T.AntiDomain(a):
+                found, complete = self.deno(a, trace)
+                if found:
+                    out = _FAILED  # a witness refutes the test outright
+                elif complete:
+                    out = frozenset((trace,)), True
+                else:
+                    out = _CUT
+            case T.PrefUnion(a, b):
+                found, complete = self.deno(a, trace)
+                if found:
+                    out = found, complete
+                elif complete:
+                    out = self.deno(b, trace)
+                else:
+                    out = _CUT
+            case T.MaxIterate(a):
+                out = self._iterate(a, trace, frozenset((trace.last,)))
+            case T.EqTest(p, q):
+                out = (frozenset((trace,)), True) if check_eq(p, q, trace) else _FAILED
+            case T.BackGlobal(p, q):
+                out = (frozenset((trace,)), True) if check_bg(p, q, trace) else _FAILED
+            case _:
+                raise TypeError(f"term is not in core form: {term!r}")
+        if memo is not None:
+            memo[trace] = out
+        return out
+
+    def _step(self, name: str, trace: Trace) -> tuple[frozenset[Trace], bool]:
+        """The one-letter extensions of ``trace`` by the module ``name``."""
+        if len(trace) + 1 > self.cfg.max_trace_length:
+            return _CUT
+        s, r = trace.input, trace.last
+        key = (id(s), name, r)
+        cached = self.steps.get(key)
+        if cached is None:
+            module = self.program.compiled.get(name)
             if module is None:  # a program built directly can lack it
                 raise UnknownModuleError(f"module {name} is undefined or has a rule that does not compile")
-            s, r = trace.input, trace.last
-            exts = frozenset(trace.extend(apply_choice(s, r, c), c) for c in successor_choices(module, s, r))
-            return exts, True
-        case T.Seq():
-            # the left spine in a loop, so a long ``;`` chain stays flat
-            rights = []
-            while isinstance(term, T.Seq):
-                rights.append(term.right)
-                term = term.left
-            found, complete = _deno(program, term, trace, cfg)
-            for b in reversed(rights):
-                out: set[Trace] = set()
-                for u in found:
-                    more, ok = _deno(program, b, u, cfg)
-                    out |= more
-                    complete = complete and ok
-                found = frozenset(out)
-            return found, complete
-        case T.AntiDomain(a):
-            found, complete = _deno(program, a, trace, cfg)
-            if found:
-                return frozenset(), True  # a witness refutes the test outright
+            steps = tuple((apply_choice(s, r, c), c) for c in successor_choices(module, s, r))
+            cached = self.steps[key] = steps, s
+        steps = cached[0]
+        budget = self.cfg.node_budget
+        if budget is not None and self.built + len(steps) > budget:
+            return _CUT
+        self.built += len(steps)
+        return frozenset(trace.extend(regs, c) for regs, c in steps), True
+
+    def _iterate(self, body: T.Term, trace: Trace, seen: frozenset) -> tuple[frozenset[Trace], bool]:
+        steps, complete = self.deno(body, trace)
+        if not steps:
             if complete:
                 return frozenset((trace,)), True
-            return frozenset(), False
-        case T.PrefUnion(a, b):
-            found, complete = _deno(program, a, trace, cfg)
-            if found:
-                return found, complete
-            if not complete:
-                return frozenset(), False
-            return _deno(program, b, trace, cfg)
-        case T.MaxIterate(a):
-            return _deno_iterate(program, a, trace, frozenset((trace.last,)), cfg)
-        case T.EqTest(p, q):
-            return (frozenset((trace,)) if check_eq(p, q, trace) else frozenset()), True
-        case T.BackGlobal(p, q):
-            return (frozenset((trace,)) if check_bg(p, q, trace) else frozenset()), True
-        case _:
-            raise TypeError(f"term is not in core form: {term!r}")
-
-
-def _deno_iterate(
-    program: Program, body: T.Term, trace: Trace, seen: frozenset, cfg: SearchConfig
-) -> tuple[frozenset[Trace], bool]:
-    steps, complete = _deno(program, body, trace, cfg)
-    if not steps:
-        if complete:
-            return frozenset((trace,)), True
-        return frozenset(), False
-    out: set[Trace] = set()
-    for u in steps:
-        key = u.last
-        if key in seen:
-            continue  # revisiting a milestone valuation is not an unfolding
-        more, ok = _deno_iterate(program, body, u, seen | {key}, cfg)
-        out |= more
-        complete = complete and ok
-    return frozenset(out), complete
+            return _CUT
+        out: set[Trace] = set()
+        for u in steps:
+            key = u.last
+            if key in seen:
+                continue  # revisiting a milestone valuation is not an unfolding
+            more, ok = self._iterate(body, u, seen | {key})
+            out |= more
+            complete = complete and ok
+        return frozenset(out), complete
 
 
 def denotational_deltas(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Complete bounded extension set of ``term`` on ``trace``, or UNKNOWN."""
-    found, complete = _deno(program, T.desugar(term), trace, cfg)
+    ev = _Deno(program, cfg, term)
+    found, complete = ev.deno(ev.roots[0], trace)
     if not complete:
         return UNKNOWN
     return DeltaSet(trace, found)
@@ -131,12 +245,29 @@ def denotational_deltas(program: Program, term: T.Term, trace: Trace, cfg: Searc
 
 def is_defined(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Three-valued definedness: does the term have any successful extension?"""
-    found, complete = _deno(program, T.desugar(term), trace, cfg)
+    ev = _Deno(program, cfg, term)
+    found, complete = ev.deno(ev.roots[0], trace)
     if found:
         return True
     if complete:
         return False
     return UNKNOWN
+
+
+def _equivalent(program: Program, t: T.Term, g: T.Term, bases: Iterable[Trace], cfg: SearchConfig, view):
+    """Both terms defined on every base, with equal ``view(base, extensions)``."""
+    ev = _Deno(program, cfg, t, g)
+    t, g = ev.roots
+    for base in bases:
+        dt, ct = ev.deno(t, base)
+        dg, cg = ev.deno(g, base)
+        if not (ct and cg):
+            return UNKNOWN
+        if not dt or not dg:
+            return False
+        if view(base, dt) != view(base, dg):
+            return False
+    return True
 
 
 def strongly_equivalent(
@@ -149,18 +280,7 @@ def strongly_equivalent(
     """Trace equivalence over the given bases: on every base, both terms are
     defined and have identical extension sets.  Two terms that are both
     undefined on some base are not equal there (False, not vacuity)."""
-    t = T.desugar(t)
-    g = T.desugar(g)
-    for base in bases:
-        dt, ct = _deno(program, t, base, cfg)
-        dg, cg = _deno(program, g, base, cfg)
-        if not (ct and cg):
-            return UNKNOWN
-        if not dt or not dg:
-            return False
-        if {x.key() for x in dt} != {x.key() for x in dg}:
-            return False
-    return True
+    return _equivalent(program, t, g, bases, cfg, lambda base, exts: exts)
 
 
 def before_after_equivalent(
@@ -172,19 +292,6 @@ def before_after_equivalent(
 ):
     """Input-output equivalence: on every base, both terms are defined and
     the sets of (start letter, end letter) pairs of their deltas coincide."""
-    t = T.desugar(t)
-    g = T.desugar(g)
-
-    def proj(base: Trace, exts: frozenset[Trace]) -> frozenset:
-        return frozenset((base.last, e.last) for e in exts)
-
-    for base in bases:
-        dt, ct = _deno(program, t, base, cfg)
-        dg, cg = _deno(program, g, base, cfg)
-        if not (ct and cg):
-            return UNKNOWN
-        if not dt or not dg:
-            return False
-        if proj(base, dt) != proj(base, dg):
-            return False
-    return True
+    return _equivalent(
+        program, t, g, bases, cfg, lambda base, exts: frozenset((base.last, e.last) for e in exts)
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Sequence
 
 from tracelang.cq import Atom, CQBody, Const
@@ -188,3 +189,26 @@ def random_surface_term(
             lambda: T.Repeat(sub(), sub()),
         ]
     )()
+
+
+def frame_depth() -> int:
+    """The number of Python frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def near_the_default_limit(f):
+    """``f()`` at the interpreter's default recursion limit of 1,000, called
+    from about 200 frames deep."""
+
+    def down(n):
+        return f() if n <= 0 else down(n - 1)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return down(200 - frame_depth())
+    finally:
+        sys.setrecursionlimit(old)

@@ -197,6 +197,23 @@ def test_node_budget_env(even_files, monkeypatch, capsys):
     monkeypatch.delenv("PROMISE_MAX_NODES")
 
 
+def test_equiv_honours_the_node_budget(even_files, monkeypatch, capsys):
+    # GuessP ; GuessP builds 4 + 16 successor traces on 4 elements; a check
+    # cut off by the budget is unknown, never a definite answer
+    args = [
+        "equiv", "--program", even_files["program"], "--structure", even_files[4],
+        "--left", "GuessP ; GuessP", "--right", "id ; GuessP ; GuessP",
+    ]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("True (mode=strong")
+    monkeypatch.setenv("PROMISE_MAX_NODES", "10")
+    assert main(args) == 2
+    assert main(args + ["--mode", "before-after"]) == 2
+    assert capsys.readouterr().out.count("Unknown (mode=") == 2
+    monkeypatch.setenv("PROMISE_MAX_NODES", "20")
+    assert main(args) == 0  # the right side's module steps are memo hits: they build nothing
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "verify-parse", "equiv", "suite"])
 def test_an_internal_error_exits_70_in_every_command(command, even_files, tmp_path, monkeypatch, capsys):
     # A crash must not exit with a verdict's code (1 reads as no, invalid

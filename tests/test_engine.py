@@ -26,7 +26,15 @@ from tracelang.lab import UNKNOWN, is_defined
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
 from tracelang.parser import MAX_NESTING, Program, parse_program
 
-from helpers import random_core_term, random_modules, random_program, random_structure, structure_of
+from helpers import (
+    frame_depth,
+    near_the_default_limit,
+    random_core_term,
+    random_modules,
+    random_program,
+    random_structure,
+    structure_of,
+)
 
 
 def _program(text, structure):
@@ -341,21 +349,13 @@ def test_replay_needs_exact_choice_stream():
     assert not verify_witness(prog, s, longer, cfg)
 
 
-def _frame_depth() -> int:
-    """The number of Python frames on the stack of the caller."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def _record_apply_choice_depths(m, depths: list[int]) -> None:
     """Patch ``engine.apply_choice`` on ``m`` to append the frame depth of
     each call to ``depths``."""
     real_apply_choice = engine.apply_choice
 
     def recording_apply_choice(*args, **kwargs):
-        depths.append(_frame_depth())
+        depths.append(frame_depth())
         return real_apply_choice(*args, **kwargs)
 
     m.setattr(engine, "apply_choice", recording_apply_choice)
@@ -1000,21 +1000,6 @@ def test_a_deep_pow_of_a_test_decides_in_one_step():
     assert verdict.witness.choices == (Choice("Start", (("Reach", "a"),)),)
 
 
-def _near_the_default_limit(f):
-    """``f()`` at the interpreter's default recursion limit of 1,000, called
-    from about 200 frames deep."""
-
-    def down(n):
-        return f() if n <= 0 else down(n - 1)
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        return down(200 - _frame_depth())
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def _nested_checks(n):
     """``n`` levels of ``~( . <+ id)`` around GuessP: check depth 2n, and
     2n levels of parentheses and prefix operators."""
@@ -1035,7 +1020,7 @@ def test_programs_at_the_nesting_bound_decide_at_the_default_limit():
         (_nested_checks(bound // 2), "no"),
     ):
         text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
-        verdict = _near_the_default_limit(lambda: run_main_task(_program(text, s), s))
+        verdict = near_the_default_limit(lambda: run_main_task(_program(text, s), s))
         assert verdict.kind == kind
     assert _program(f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {_nested_checks(bound // 2)}", s).check_depth == bound
 
@@ -1053,7 +1038,7 @@ def test_programs_past_the_nesting_bound_are_rejected():
     ):
         text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
         with pytest.raises(ParseError):
-            _near_the_default_limit(lambda: _program(text, s))
+            near_the_default_limit(lambda: _program(text, s))
     # a Program built directly is compiled the same way, and refused by a
     # run, a replay and a check: no check depth is configured, so the TooDeep
     # diagnostic is what keeps it from recursing past the limit.  The checks
@@ -1076,7 +1061,7 @@ def test_programs_past_the_nesting_bound_are_rejected():
             lambda: holds_antidomain(guess, main, start, cfg),
         ):
             with pytest.raises(TraceLangError, match="TooDeep"):
-                _near_the_default_limit(call)
+                near_the_default_limit(call)
 
 
 def test_a_term_built_past_the_nesting_bound_is_refused_while_it_is_built():
@@ -1094,7 +1079,7 @@ def test_a_term_built_past_the_nesting_bound_is_refused_while_it_is_built():
         return t
 
     def build(t):
-        return _near_the_default_limit(lambda: Program(s.vocabulary, modules, t))
+        return near_the_default_limit(lambda: Program(s.vocabulary, modules, t))
 
     shapes = [
         T.AntiDomain,
@@ -1142,8 +1127,8 @@ def test_a_long_written_out_chain_builds_and_decides_at_the_default_limit():
     s = structure_of(("a", "b"), registers=("P",))
     for op in (" ; ", " and "):
         text = "module GuessP { P(x) <~ adom(x) }\nterm: " + op.join(["GuessP"] * 1500)
-        prog = _near_the_default_limit(lambda: _program(text, s))
+        prog = near_the_default_limit(lambda: _program(text, s))
         cfg = _cfg(prog, s, max_trace_length=1501)
-        verdict = _near_the_default_limit(lambda: run_main_task(prog, s, cfg))
+        verdict = near_the_default_limit(lambda: run_main_task(prog, s, cfg))
         assert verdict.kind == "yes" and verdict.nodes == 1500
-        assert _near_the_default_limit(lambda: verify_witness(prog, s, verdict.witness, cfg))
+        assert near_the_default_limit(lambda: verify_witness(prog, s, verdict.witness, cfg))

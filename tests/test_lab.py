@@ -11,9 +11,17 @@ from tracelang.lab import (
     is_defined,
     strongly_equivalent,
 )
-from tracelang.parser import parse_program
+from tracelang.parser import MAX_NESTING, parse_program, parse_term
+from tracelang.problems import (
+    ProblemId,
+    build_instance,
+    build_program,
+    make_counting_instance,
+    make_same_size_instance,
+    make_st_instance,
+)
 
-from helpers import random_program, random_structure, structure_of
+from helpers import near_the_default_limit, random_program, random_structure, structure_of
 
 
 def _setup():
@@ -169,3 +177,134 @@ def test_extensions_extend_their_base():
             continue
         for ext in deno.extensions:
             assert ext.letters[: len(base)] == base.letters
+
+
+def _counting_extend(monkeypatch):
+    """Patch ``Trace.extend`` to count its calls into the returned list."""
+    built = [0]
+    real = Trace.extend
+
+    def extend(self, *args):
+        built[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Trace, "extend", extend)
+    return built
+
+
+def _bundled_cases():
+    """(program, structure) for small instances of bundled problems, each
+    parsed from its text as a user would."""
+    cases = [
+        (ProblemId.EVEN, make_counting_instance(ProblemId.EVEN, 4)),
+        (ProblemId.EVEN, make_counting_instance(ProblemId.EVEN, 3)),
+        (ProblemId.SIZE_FOUR, make_counting_instance(ProblemId.SIZE_FOUR, 4)),
+        (ProblemId.SAME_SIZE, make_same_size_instance(4, ["d1", "d2"], ["d3", "d4"])),
+        (ProblemId.ST_CONNECTIVITY, make_st_instance(4, [(0, 1), (1, 2), (2, 3)], 0, 3)),
+        (ProblemId.MOD2_LINEAR, build_instance(ProblemId.MOD2_LINEAR, seed=3)),
+    ]
+    return [(build_program(pid, s.vocabulary), s) for pid, s in cases]
+
+
+def test_each_shared_subterm_is_evaluated_once_per_trace(monkeypatch):
+    # main and id ; main share main, and ~~~main and ~main share ~main: each
+    # check builds the traces of one evaluation of main, not two
+    built = _counting_extend(monkeypatch)
+    for prog, s in _bundled_cases():
+        cfg, bases = SearchConfig.for_run(prog, s), [Trace.initial(s)]
+        main = prog.main
+        built[0] = 0
+        is_defined(prog, main, bases[0], cfg)
+        alone = built[0]
+        assert alone > 0
+        for check, t, g in (
+            (strongly_equivalent, main, T.Seq(T.Id(), main)),
+            (before_after_equivalent, T.AntiDomain(T.AntiDomain(T.AntiDomain(main))), T.AntiDomain(main)),
+        ):
+            built[0] = 0
+            check(prog, t, g, bases, cfg)
+            assert built[0] == alone
+    # equal terms parsed apart are hash-consed into one
+    prog, s = _bundled_cases()[0]
+    cfg, bases = SearchConfig.for_run(prog, s), [Trace.initial(s)]
+    t, g = parse_term("GuessP ; GuessP"), parse_term("GuessP ; GuessP")
+    assert t is not g
+    built[0] = 0
+    assert is_defined(prog, t, bases[0], cfg) is True
+    alone = built[0]
+    built[0] = 0
+    assert strongly_equivalent(prog, t, g, bases, cfg) is True
+    assert built[0] == alone == 4 + 16
+
+
+def test_a_pow_of_a_test_checks_the_test_once(monkeypatch):
+    # pow shares its binary powers, and the lab evaluates each of them once
+    # on the one trace a test keeps
+    import tracelang.lab as lab
+
+    calls = []
+    real = lab.check_eq
+    monkeypatch.setattr(lab, "check_eq", lambda *args: calls.append(args) or real(*args))
+    s, prog, cfg = _setup()
+    term = T.Seq(T.Pow(T.EqTest("P", "P"), 10**6), T.ModuleRef("GuessP"))
+    assert len(denotational_deltas(prog, term, Trace.initial(s), cfg).extensions) == 2
+    assert len(calls) == 1
+
+
+def test_the_choice_cache_is_kept_per_input():
+    # one vocabulary, one program; the first two steps of st-conn read the
+    # same valuations on both inputs, but only one input reaches T
+    reach = make_st_instance(3, [(0, 1), (1, 2)], 0, 2)
+    unreach = make_st_instance(3, [(0, 1)], 0, 2)
+    prog = build_program(ProblemId.ST_CONNECTIVITY, reach.vocabulary)
+    cfg = SearchConfig.for_run(prog, reach)
+    main = prog.main
+    both = [Trace.initial(reach), Trace.initial(unreach)]
+    assert strongly_equivalent(prog, main, T.Seq(T.Id(), main), both[:1], cfg) is True
+    assert strongly_equivalent(prog, main, T.Seq(T.Id(), main), both, cfg) is False
+    assert before_after_equivalent(prog, T.AntiDomain(main), T.AntiDomain(main), both[::-1], cfg) is False
+
+
+def test_strong_equivalence_to_id_then_the_term_mirrors_definedness():
+    # t and id ; t have the same extensions, so the strong check answers as
+    # the definedness of t does, and ~~~t against ~t as its negation; the one
+    # difference: a term that is defined on a cut-off search is UNKNOWN to
+    # an equivalence check, which needs whole extension sets
+    rng = random.Random(67)
+    decided = 0
+    for _ in range(400):
+        s = random_structure(rng)
+        prog = random_program(rng, s, depth=4)
+        cfg = SearchConfig(k=2, max_trace_length=5)
+        base, t = Trace.initial(s), prog.main
+        defined = is_defined(prog, t, base, cfg)
+        complete = denotational_deltas(prog, t, base, cfg) is not UNKNOWN
+        strong = strongly_equivalent(prog, t, T.Seq(T.Id(), t), [base], cfg)
+        inverse = before_after_equivalent(prog, T.AntiDomain(T.AntiDomain(T.AntiDomain(t))), T.AntiDomain(t), [base], cfg)
+        if defined is UNKNOWN:
+            assert strong is UNKNOWN and inverse is UNKNOWN
+            continue
+        assert inverse is (not defined)
+        if complete:
+            assert strong is defined
+            decided += 1
+        else:
+            assert defined is True and strong is UNKNOWN
+    assert decided >= 100
+
+
+def test_a_check_at_the_nesting_bound_runs_at_the_default_limit():
+    # the lab recurses once per term level, so every term the parser
+    # accepts checks at the default limit, also from 200 frames deep
+    s, prog, cfg = _setup()
+    base = [Trace.initial(s)]
+    bound = MAX_NESTING
+    for text in (
+        "~" * bound + "GuessP",
+        "(" * bound + "GuessP ; P == P" + ")" * bound,
+        "if " * bound + "GuessP" + " then id else id" * bound,
+        "dia(" * bound + "GuessP" + ", id)" * bound,
+    ):
+        t = parse_term(text)
+        for check in (strongly_equivalent, before_after_equivalent):
+            assert near_the_default_limit(lambda: check(prog, t, T.Seq(T.Id(), t), base, cfg)) is not UNKNOWN
