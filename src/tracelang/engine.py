@@ -12,7 +12,11 @@ The search is one loop over an explicit stack, so its Python stack grows
 only with the nesting of universal checks.  The program fixes that nesting,
 and the compile step refuses it past ``parser.MAX_NESTING``, so no check
 depth is configured or tracked and the engine runs at the caller's
-recursion limit.
+recursion limit.  The compile step gives every ``==`` and ``BG`` test of
+the core the positions of its register sides, so a test reads registers by
+position; only an EDB side, or a test from outside the program, is looked
+up by name.  ``Trace.extend`` updates the history of only the registers a
+choice wrote.
 
 A check is first evaluated directly on the trace, as a test that keeps the
 trace or fails; a term with no module in it is always decided so, with no
@@ -55,10 +59,6 @@ from .structures import Structure
 from . import terms as T
 
 
-# What no register holds: the value before the input letter.
-_UNSET = object()
-
-
 class Trace:
     """Nonempty string of letters; the first letter is the input.
 
@@ -71,18 +71,20 @@ class Trace:
     (``None`` at the input letter), the valuation ``last`` of its last
     letter, the module ``choice`` that produced that letter, its ``length``,
     the ``input``, the history ``hist`` and a hash computed once.  Extending
-    shares the whole prefix, so ``extend`` costs O(changed registers) however
-    long the trace is (see ``hist`` below), and siblings extended from one
-    node share it too.  ``letters`` (each letter as a ``Structure``, built
-    with ``with_registers``), ``choices`` and ``key()`` are read-only views
-    built on demand by walking the chain, in O(length).
+    shares the whole prefix, so ``extend`` costs O(registers written by one
+    choice) however long the trace is and however many registers there are
+    (see ``hist`` below), and siblings extended from one node share the
+    prefix too.  ``letters`` (each letter as a ``Structure``, built with
+    ``with_registers``), ``choices`` and ``key()`` are read-only views built
+    on demand by walking the chain, in O(length).
 
     ``hist`` holds, per register, the values it held at
     all letters except the last, as an immutable ``int`` bitmask: bit 0 for
     blank, bit i+1 for domain element i.  It makes history tests one bit test.
-    It depends on the letters alone.  ``extend`` updates only the masks of
-    the registers whose value changed at the last letter, after one
-    comparison of the last two valuations.
+    It depends on the letters alone.  A register that the choice of the
+    last letter did not write holds the value it held one letter earlier,
+    whose bit is set already, so ``extend`` updates only the masks of the
+    registers that choice wrote (at the input letter, every mask).
     """
 
     __slots__ = ("parent", "last", "choice", "length", "input", "hist", "_hash")
@@ -133,29 +135,22 @@ class Trace:
         return self.length
 
     def extend(self, registers: tuple, choice: Choice) -> "Trace":
-        # ``hist`` gains the values of ``self.last``.  A register that holds
-        # the value it held one letter earlier has its bit already, so only
-        # changed registers are looked at (at the input letter, all of them);
-        # a mask that has the bit is kept, and so is the tuple when no
-        # register changed.  Plain loops: a generator costs a frame per step.
-        values, hist = self.last, self.hist
+        """This trace with one more letter, of valuation ``registers``,
+        produced by ``choice``.  ``registers`` must be ``self.last`` with
+        only the registers ``choice`` writes changed, as ``apply_choice``
+        builds it; the next ``extend`` relies on it (see ``hist``)."""
+        values, hist, order = self.last, list(self.hist), self.input._dindex
         if self.parent is None:
-            before = (_UNSET,) * len(values)
-        else:
-            before = self.parent.last
-        if values != before:
-            order = self.input._dindex
-            hist = list(hist)
             for i, v in enumerate(values):
-                # an equal value held by another object sets a bit already set
-                if v is not before[i]:
-                    bit = 1 if v is None else 2 << order[v]
-                    h = hist[i]
-                    if not h & bit:
-                        hist[i] = h | bit
-            hist = tuple(hist)
+                hist[i] |= 1 if v is None else 2 << order[v]
+        else:  # plain loops: a generator costs a frame per step
+            rindex = self.input.vocabulary.register_index
+            for reg, _ in self.choice.assignment:
+                i = rindex[reg]
+                v = values[i]
+                hist[i] |= 1 if v is None else 2 << order[v]
         return Trace(
-            self, registers, choice, self.length + 1, self.input, hist,
+            self, registers, choice, self.length + 1, self.input, tuple(hist),
             hash((self._hash, registers)),
         )
 
@@ -438,8 +433,14 @@ class Evaluator:
                     stack += [(c, trace, k, scope) for c in reversed(succ)]
                     break
                 elif cls is T.BackGlobal:
-                    if not check_bg(node.current, node.past, trace):
-                        break
+                    i, j = node.positions
+                    if i is None or j is None:
+                        if not check_bg(node.current, node.past, trace):
+                            break
+                    else:
+                        v = trace.last[i]
+                        if trace.hist[j] & (1 if v is None else 2 << trace.input._dindex[v]):
+                            break
                 elif cls is T.AntiDomain:
                     r = self.exists(node.term, trace)
                     if r is not False:
@@ -447,7 +448,10 @@ class Evaluator:
                             scope.hit = True
                         break
                 elif cls is T.EqTest:
-                    if not check_eq(node.left, node.right, trace):
+                    i, j = node.positions
+                    if (_value(node.left, trace) if i is None else trace.last[i]) != (
+                        _value(node.right, trace) if j is None else trace.last[j]
+                    ):
                         break
                 elif cls is T.PrefUnion:
                     # the left arm is decided directly or from the table, or
@@ -573,14 +577,22 @@ class Evaluator:
                 work.append(t.left)
                 continue
             if cls is T.BackGlobal:
-                r = check_bg(t.current, t.past, trace)
+                i, j = t.positions
+                if i is None or j is None:
+                    r = check_bg(t.current, t.past, trace)
+                else:
+                    v = trace.last[i]
+                    r = not trace.hist[j] & (1 if v is None else 2 << trace.input._dindex[v])
             elif cls is T.AntiDomain or cls is T.MaxIterate:
                 # an iterate of a test exits exactly where the test fails
                 r = self._test(t.term, trace)
                 if r is not _SEARCH:
                     r = not r
             elif cls is T.EqTest:
-                r = check_eq(t.left, t.right, trace)
+                i, j = t.positions
+                r = (_value(t.left, trace) if i is None else trace.last[i]) == (
+                    _value(t.right, trace) if j is None else trace.last[j]
+                )
             elif cls is T.ModuleRef:
                 return _SEARCH
             elif cls is T.Id:

@@ -28,9 +28,11 @@ and evaluates each shared subterm once per trace:
   register valuation.
 
 The recursion is unchanged by this: one call per term level, with the left
-spine of a ``;`` chain walked in a loop.  ``node_budget`` caps the successor
-traces a query builds; a module step that would build past it builds none
-and is incomplete, so the answer is UNKNOWN, as at the length bound.
+spine of a ``;`` chain walked in a loop and the unfoldings of a maximum
+iterate walked from a worklist, so the stack grows with the term, not with
+the trace.  ``node_budget`` caps the successor traces a query builds; a
+module step that would build past it builds none and is incomplete, so the
+answer is UNKNOWN, as at the length bound.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class _Deno:
                 else:
                     out = _CUT
             case T.MaxIterate(a):
-                out = self._iterate(a, trace, frozenset((trace.last,)))
+                out = self._iterate(a, trace)
             case T.EqTest(p, q):
                 out = (frozenset((trace,)), True) if check_eq(p, q, trace) else _FAILED
             case T.BackGlobal(p, q):
@@ -217,21 +219,24 @@ class _Deno:
         self.built += len(steps)
         return frozenset(trace.extend(regs, c) for regs, c in steps), True
 
-    def _iterate(self, body: T.Term, trace: Trace, seen: frozenset) -> tuple[frozenset[Trace], bool]:
-        steps, complete = self.deno(body, trace)
-        if not steps:
-            if complete:
-                return frozenset((trace,)), True
-            return _CUT
+    def _iterate(self, body: T.Term, trace: Trace) -> tuple[frozenset[Trace], bool]:
+        """The traces where an unfolding of ``body`` from ``trace`` stops,
+        complete when every step was.  Depth first from a worklist, in the
+        order of a recursion, so the stack stays flat however long a trace."""
         out: set[Trace] = set()
-        for u in steps:
-            key = u.last
-            if key in seen:
-                continue  # revisiting a milestone valuation is not an unfolding
-            more, ok = self._iterate(body, u, seen | {key})
-            out |= more
+        complete = True
+        work = [(trace, frozenset((trace.last,)))]
+        while work:
+            trace, seen = work.pop()
+            steps, ok = self.deno(body, trace)
             complete = complete and ok
-        return frozenset(out), complete
+            if not steps:
+                if ok:
+                    out.add(trace)
+                continue
+            # revisiting a milestone valuation is not an unfolding
+            work += [(u, seen | {u.last}) for u in reversed(list(steps)) if u.last not in seen]
+        return frozenset(out) if out else _NONE, complete
 
 
 def denotational_deltas(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):

@@ -13,7 +13,9 @@ valuation.  A program compiles each of its modules once
 generated answer and membership functions of its body (see ``cq``), and a
 getter for the registers the bodies read.  The outcomes of a module depend
 on the valuation only through those registers, so a search may reuse them
-wherever they agree.
+wherever they agree.  :func:`successor_choices` sorts only answer sets of
+more than one element, and builds a one-rule module's choices straight from
+its answer set.
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def successor_choices(m: CompiledModule, s: Structure, r: tuple) -> tuple[Choice
         found = rule(s, r)
         if not found:
             return ()
-        answers.append(sorted(found, key=s.element_order))
+        answers.append(sorted(found, key=s.element_order) if len(found) > 1 else found)
+    if len(answers) == 1:
+        head = m.heads[0]
+        return tuple([Choice(m.name, ((head, e),)) for e in answers[0]])
     return tuple(
         Choice(m.name, tuple(zip(m.heads, combo))) for combo in itertools.product(*answers)
     )

@@ -129,7 +129,8 @@ _COMPILED = dict(init=False, repr=False, compare=False)
 @dataclass(frozen=True)
 class Program:
     """A program over one vocabulary, compiled once when it is built:
-    ``core`` is the term the engine runs, ``check_depth`` the nesting depth
+    ``core`` is the term the engine runs, its tests resolved to register
+    positions (see ``_compile``), ``check_depth`` the nesting depth
     of the universal checks a search of it can open, ``footprint`` maps the
     ids of the core and of each subterm it checks to their footprint
     getters (the program holds the core, so the ids stay unique),
@@ -454,9 +455,15 @@ def _compile(program: Program) -> tuple:
     tests.  The core and each subterm a search checks (the body of ``~`` and
     ``^``, the left arm of ``<+``) get the getters of those registers and of
     that history, which key the exists table.
+
+    Each ``==`` and ``BG`` test gets the positions of its register sides
+    (``positions``), a lexical address fixed once (Abelson & Sussman, *SICP*,
+    section 5.5.6), on a new node of the core's own, as is every node above
+    it: programs whose vocabularies order the registers apart may share a term.
     """
     vocab, modules = program.vocabulary, program.modules
-    bit = {x: 1 << i for x, i in vocab.register_index.items()}
+    index = vocab.register_index
+    bit = {x: 1 << i for x, i in index.items()}
     diags: list[Diagnostic] = []
     compiled = {}
     module_regs = {}
@@ -522,13 +529,13 @@ def _compile(program: Program) -> tuple:
         elif cls is T.ModuleRef:
             names.add(node.name)
             info = (node, False, 0, module_regs.get(node.name, 0), 0)
-        elif cls is T.EqTest:
-            symbols.update((node.left, node.right))
-            info = (node, True, 0, bit.get(node.left, 0) | bit.get(node.right, 0), 0)
-        elif cls is T.BackGlobal:
-            symbols.update((node.current, node.past))
-            past = bit.get(node.past, 0)
-            info = (node, True, 0, bit.get(node.current, 0) | past, past)
+        elif cls is T.EqTest or cls is T.BackGlobal:
+            p, q = (node.left, node.right) if cls is T.EqTest else (node.current, node.past)
+            symbols.update((p, q))
+            t = cls(p, q)
+            object.__setattr__(t, "positions", (index.get(p), index.get(q)))
+            past = bit.get(q, 0) if cls is T.BackGlobal else 0
+            info = (t, True, 0, bit.get(p, 0) | bit.get(q, 0), past)
         elif cls is T.Id:
             info = (node, True, 0, 0, 0)
         else:

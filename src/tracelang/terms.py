@@ -7,7 +7,7 @@ union, maximum iterate, equality test, back-globally test.  Everything else
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -59,10 +59,18 @@ class MaxIterate(Term):
     term: Term
 
 
+# The positions of a test's two sides in a register valuation, ``None`` for
+# a side that is no register: set by a program's compile step on the test
+# nodes of its core, which it builds itself; every other node looks its
+# symbols up by name.
+_POSITIONS = dict(default=(None, None), init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class EqTest(Term):
     left: str
     right: str
+    positions: tuple = field(**_POSITIONS)
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,7 @@ class BackGlobal(Term):
 
     current: str
     past: str
+    positions: tuple = field(**_POSITIONS)
 
 
 CORE_TYPES = (Id, ModuleRef, AntiDomain, Seq, PrefUnion, MaxIterate, EqTest, BackGlobal)

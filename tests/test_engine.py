@@ -24,7 +24,7 @@ from tracelang.engine import (
 from tracelang.errors import InvalidParamsError, ParseError, TraceLangError
 from tracelang.lab import UNKNOWN, is_defined
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
-from tracelang.parser import MAX_NESTING, Program, parse_program
+from tracelang.parser import MAX_NESTING, Program, parse_program, parse_term
 
 from helpers import (
     frame_depth,
@@ -631,10 +631,11 @@ def _random_one_rule_module(rng, name):
 
 
 def _trace_of(s, valuations):
-    """The trace over input ``s`` whose later letters hold ``valuations``."""
+    """The trace over input ``s`` whose later letters hold ``valuations``,
+    each made by a choice that writes every register."""
     trace = Trace.initial(s)
     for values in valuations:
-        trace = trace.extend(values, Choice("m", ()))
+        trace = trace.extend(values, Choice("m", tuple(zip(s.vocabulary.register_symbols, values))))
     return trace
 
 
@@ -668,13 +669,17 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
             t = random_core_term(rng, names, rng.randint(1, 3))
             # a leading module step sends the whole check to the table
             terms.append(T.Seq(T.ModuleRef(names[0]), t) if rng.random() < 0.7 else t)
-        # the table keys on footprints compiled with the program: each term
-        # is a checked subterm of its core, kept as the same object
+        # the table keys on footprints compiled with the program: the queries
+        # take each term as its core holds it, a checked subterm of its own
         main = T.Id()
         for t in terms:
             main = T.Seq(main, T.AntiDomain(t))
         prog = Program(inputs[0].vocabulary, modules, main)
-        assert all(id(t) in prog.footprint for t in terms)
+        terms, node = [], prog.core
+        while type(node) is T.Seq:
+            terms.append(node.right.term)
+            node = node.left
+        assert len(terms) == 4 and all(id(t) in prog.footprint for t in terms)
         values = (None, "a", "b")
         base = [tuple(rng.choice(values) for _ in range(3)) for _ in range(rng.randint(1, 2))]
         variants = [base]
@@ -911,6 +916,78 @@ def test_st_conn_node_counts_are_exact():
         verdict = ev.run(inst)
         assert verdict.kind == kind and verdict.nodes == nodes
         assert ev.exists_calls > 0 and ev.table_hits == 0 and not ev._table
+
+
+def test_mod2_counters_are_exact():
+    # Pinned counters of one satisfiable and one unsatisfiable system, so
+    # that a change to search order, tabling or counting fails here.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance
+
+    record = {"b0": ("RecordFalse", "FalseRec"), "b1": ("RecordTrue", "TrueRec")}
+    witness = Witness(tuple(
+        c
+        for x, bit in (("v1", "b0"), ("v2", "b1"), ("v3", "b0"), ("v4", "b1"))
+        for c in (Choice("PickVar", (("Var", x), ("Val", bit))), Choice(record[bit][0], ((record[bit][1], x),)))
+    ), 9)
+    for nvars, equations, expected in (
+        (4, [(0, 1, 2, 1), (1, 2, 3, 0), (0, 2, 3, 1)], ("yes", witness, 201, 25, 1)),
+        (3, [(0, 1, 2, 1), (2, 0, 1, 0)], ("no", None, 657, 88, 26)),
+    ):
+        inst = make_mod2_instance(nvars, equations)
+        verdict = run_main_task(build_program(ProblemId.MOD2_LINEAR, inst.vocabulary), inst)
+        got = (verdict.kind, verdict.witness, verdict.nodes, verdict.exists_calls, verdict.table_hits)
+        assert got == expected
+
+
+def test_resolved_tests_decide_as_the_name_lookups_do():
+    # A program's core holds its == and BG tests with the positions of their
+    # register sides.  Run as a program's term, searched or checked, each
+    # decides as check_eq and check_bg decide by name, on random walks built
+    # with apply_choice over structures that order three registers at random
+    # and hold unary EDB symbols of any size.
+    rng = random.Random(83)
+    modules = (
+        "module GP { P(x) <~ adom(x) }\nmodule GQ { Q(x) <~ adom(x) }\n"
+        "module GR { R(x) <~ U(x) }\nmodule Swap { P(x) <~ Q(x) ; Q(x) <~ P(x) }\n"
+    )
+    symbols = ("P", "Q", "R", "U", "W")
+    decided = set()
+    for _ in range(30):
+        domain = ("a", "b", "c")[: rng.randint(1, 3)]
+        edb = {name: {(e,) for e in domain if rng.random() < 0.6} for name in ("U", "W")}
+        s = structure_of(domain, edb, registers=rng.sample(("P", "Q", "R"), 3), arities={"U": 1, "W": 1})
+        walker = _program(modules + "term: id", s)
+        traces = [_random_walk(rng, walker, Trace.initial(s), rng.randint(0, 5)) for _ in range(4)]
+        index = s.vocabulary.register_index
+        for p in symbols:
+            for q in symbols:
+                for test, check in ((f"{p} == {q}", check_eq), (f"BG({p} != {q})", check_bg)):
+                    prog = _program(modules + "term: " + test, s)
+                    assert prog.core.positions == (index.get(p), index.get(q))
+                    ev = Evaluator(prog, SearchConfig(k=2, max_trace_length=10))
+                    for trace in traces:
+                        holds = check(p, q, trace)
+                        assert ev.extensions(prog.core, trace) == ([trace] if holds else [], True)
+                        assert ev.exists(prog.core, trace) is holds
+                        decided.add((test, holds))
+    assert len(decided) == 4 * len(symbols) ** 2 - len(symbols)  # only x == x never fails
+
+
+def test_a_term_shared_by_two_vocabularies_runs_as_parsed_apart():
+    # One term object compiled against vocabularies that order P and Q
+    # apart: each program's core holds test nodes of its own, so a run after
+    # both are compiled answers as a program parsed from text does.
+    modules = "module GuessP { P(x) <~ adom(x) }\nmodule GuessQ { Q(x) <~ adom(x) }\n"
+    for text in ("GuessP ; GuessQ ; BG(Q != P)", "GuessQ ; (P == Q <+ GuessP ; BG(P != Q) ; GuessQ)"):
+        main = parse_term(text)
+        for domain in (("a",), ("a", "b"), ("a", "b", "c")):
+            inputs = [structure_of(domain, registers=regs) for regs in (("P", "Q"), ("Q", "P"))]
+            shared = [Program(s.vocabulary, _program(modules + "term: id", s).modules, main) for s in inputs]
+            for s, prog in zip(inputs, shared):
+                apart = _program(modules + "term: " + text, s)
+                a, b = run_main_task(prog, s), run_main_task(apart, s)
+                assert (a.kind, a.witness, a.nodes) == (b.kind, b.witness, b.nodes)
+                assert enumerate_witnesses(prog, s) == enumerate_witnesses(apart, s)
 
 
 def test_footprint_of_a_term_that_touches_no_register():

@@ -308,3 +308,17 @@ def test_a_check_at_the_nesting_bound_runs_at_the_default_limit():
         t = parse_term(text)
         for check in (strongly_equivalent, before_after_equivalent):
             assert near_the_default_limit(lambda: check(prog, t, T.Seq(T.Id(), t), base, cfg)) is not UNKNOWN
+
+
+def test_a_long_path_is_decided_at_the_default_limit():
+    # the lab walks the unfoldings of a maximum iterate from a worklist, so
+    # its stack does not grow with the trace: st-conn on a 1,200-node path
+    n = 1200
+    order = list(range(n))
+    random.Random(1200).shuffle(order)
+    edges = list(zip(order, order[1:]))
+    for s, t, defined in ((order[0], order[-1], True), (order[1], order[0], False)):
+        inst = make_st_instance(n, edges, s, t)
+        prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
+        cfg = SearchConfig.for_run(prog, inst)
+        assert near_the_default_limit(lambda: is_defined(prog, prog.main, Trace.initial(inst), cfg)) is defined

@@ -30,6 +30,26 @@ def test_guess_choices_enumerate_domain_in_order():
     assert [c.as_dict() for c in choices] == [{"P": "a"}, {"P": "b"}, {"P": "c"}]
 
 
+def test_choices_come_in_declaration_order_and_rule_order():
+    # One rule: its answers, in element declaration order; a one-element
+    # answer set: one choice; two rules: the product in rule order, the
+    # first rule's element varying slowest.
+    domain = ("d", "b", "e", "a", "c")
+    s = structure_of(
+        domain,
+        {"U": {(e,) for e in domain}, "W": {("e",)}, "V": {("a",), ("b",)}},
+        registers=("P", "Q"),
+    )
+
+    def choices(*rules):
+        m = _module("M", *((h, CQBody("x", (Atom(sym, ("x",)),))) for h, sym in rules))
+        return [c.assignment for c in successor_choices(compiled(m, s.vocabulary), s, s.registers)]
+
+    assert choices(("P", "U")) == [(("P", e),) for e in domain]
+    assert choices(("Q", "W")) == [(("Q", "e"),)]
+    assert choices(("Q", "V"), ("P", "U")) == [(("Q", q), ("P", p)) for q in ("b", "a") for p in domain]
+
+
 def test_empty_answer_set_makes_module_undefined():
     # one register filled, the other blank: the pair-picking module has no
     # transition at all
