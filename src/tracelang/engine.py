@@ -15,8 +15,8 @@ depth is configured or tracked and the engine runs at the caller's
 recursion limit.  The compile step gives every ``==`` and ``BG`` test of
 the core the positions of its register sides, so a test reads registers by
 position; only an EDB side, or a test from outside the program, is looked
-up by name.  ``Trace.extend`` updates the history of only the registers a
-choice wrote.
+up by name.  ``Trace.extend`` applies a module choice to the last letter
+and updates the history of only the registers that choice wrote.
 
 A check is first evaluated directly on the trace, as a test that keeps the
 trace or fails; a term with no module in it is always decided so, with no
@@ -40,6 +40,9 @@ A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
 guess dictated by the certificate, so the derivation is deterministic and
 needs no backtracking.
+
+An :class:`Evaluator` is built for one program, one input and one bound
+configuration; its caches and exists table hold for that input alone.
 """
 
 from __future__ import annotations
@@ -81,9 +84,10 @@ class Trace:
     ``hist`` holds, per register, the values it held at
     all letters except the last, as an immutable ``int`` bitmask: bit 0 for
     blank, bit i+1 for domain element i.  It makes history tests one bit test.
-    It depends on the letters alone.  A register that the choice of the
+    It depends on the letters alone.  ``extend`` builds every letter after
+    the input by applying its choice, so a register that the choice of the
     last letter did not write holds the value it held one letter earlier,
-    whose bit is set already, so ``extend`` updates only the masks of the
+    whose bit is set already, and ``extend`` updates only the masks of the
     registers that choice wrote (at the input letter, every mask).
     """
 
@@ -134,11 +138,10 @@ class Trace:
     def __len__(self) -> int:
         return self.length
 
-    def extend(self, registers: tuple, choice: Choice) -> "Trace":
-        """This trace with one more letter, of valuation ``registers``,
-        produced by ``choice``.  ``registers`` must be ``self.last`` with
-        only the registers ``choice`` writes changed, as ``apply_choice``
-        builds it; the next ``extend`` relies on it (see ``hist``)."""
+    def extend(self, choice: Choice) -> "Trace":
+        """This trace with one more letter, produced by ``choice``: the last
+        valuation with the choice's elements written in (``apply_choice``).
+        The choice is not checked: see ``modules.check_choice``."""
         values, hist, order = self.last, list(self.hist), self.input._dindex
         if self.parent is None:
             for i, v in enumerate(values):
@@ -149,6 +152,7 @@ class Trace:
                 i = rindex[reg]
                 v = values[i]
                 hist[i] |= 1 if v is None else 2 << order[v]
+        registers = apply_choice(self.input, values, choice)
         return Trace(
             self, registers, choice, self.length + 1, self.input, tuple(hist),
             hash((self._hash, registers)),
@@ -354,9 +358,12 @@ class _Chooser:
 
 
 class Evaluator:
-    """Evaluates core terms of one program under one bound configuration.
-    Search, checks and replay each add a few Python frames per nested
-    universal check and none per sequence step, iterate unfolding or letter.
+    """Evaluates core terms of one program on one input under one bound
+    configuration.  It refuses an invalid program, or an input of another
+    vocabulary, when it is built; every trace it is given starts at that
+    input.  Search, checks and replay each add a few Python frames per
+    nested universal check and none per sequence step, iterate unfolding or
+    letter.
 
     ``nodes`` counts module steps actually expanded.  ``exists_calls``
     counts the universal checks made through ``exists`` and ``table_hits``
@@ -366,24 +373,18 @@ class Evaluator:
     the search itself.
     """
 
-    def __init__(self, program: Program, cfg: SearchConfig):
+    def __init__(self, program: Program, input_structure: Structure, cfg: SearchConfig):
+        _check_input(program, input_structure)
         self.program = program
+        self.input = input_structure
         self.cfg = cfg
         self.nodes = 0
         self.exists_calls = 0
         self.table_hits = 0
-        # Per input: a module's choices, which depend only on the registers
-        # it reads, and the definite answers of module-bearing checks.
-        self._input: Optional[Structure] = None
+        # A module's choices, which depend only on the registers it reads,
+        # and the definite answers of module-bearing checks.
         self._choices: dict[tuple, tuple] = {}
         self._table: dict[tuple, bool] = {}
-
-    def _bind(self, input_structure: Structure) -> None:
-        """Drop the per-input caches when the input changes."""
-        if input_structure is not self._input:
-            self._input = input_structure
-            self._choices.clear()
-            self._table.clear()
 
     def _successors(self, name: str, trace: Trace) -> tuple[Choice, ...]:
         """The choices of the module ``name`` at the last letter of
@@ -423,7 +424,7 @@ class Evaluator:
                         scope.hit = True
                         break
                     self.nodes += 1
-                    trace = trace.extend(apply_choice(trace.input, trace.last, node), node)
+                    trace = trace.extend(node)
                 elif cls is T.ModuleRef:
                     if trace.length >= max_length:
                         scope.hit = True
@@ -524,8 +525,6 @@ class Evaluator:
         r = self._test(term, trace)
         if r is not _SEARCH:
             return r
-        if trace.input is not self._input:
-            self._bind(trace.input)
         key = self._key(term, trace)
         if key is not None:
             r = self._table.get(key)
@@ -609,20 +608,11 @@ class Evaluator:
                 return r
         return True
 
-    def extensions(self, term: T.Term, trace: Trace) -> tuple[list[Trace], bool]:
-        """Eager enumeration: (all extensions found, enumeration complete?)."""
-        self._bind(trace.input)
-        scope = _Scope()
-        found = list(self.iter_extensions(term, trace, scope))
-        return found, not scope.hit
-
     # --- verdicts ----------------------------------------------------------
 
-    def run(self, input_structure: Structure) -> Verdict:
-        self._bind(input_structure)
-        _check_input(self.program, input_structure)
+    def run(self) -> Verdict:
         scope = _Scope()
-        start = Trace.initial(input_structure)
+        start = Trace.initial(self.input)
         result = next(self.iter_extensions(self.program.core, start, scope), None)
         counters = dict(exists_calls=self.exists_calls, table_hits=self.table_hits)
         if result is not None:
@@ -630,10 +620,8 @@ class Evaluator:
             return Verdict("yes", witness, self.nodes, trace=result, **counters)
         return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes, **counters)
 
-    def enumerate(self, input_structure: Structure) -> list[Witness]:
-        self._bind(input_structure)
-        _check_input(self.program, input_structure)
-        trace = Trace.initial(input_structure)
+    def enumerate(self) -> list[Witness]:
+        trace = Trace.initial(self.input)
         seen: set = set()
         out: list[Witness] = []
         for result in self.iter_extensions(self.program.core, trace, _Scope()):
@@ -648,7 +636,7 @@ class Evaluator:
 
     # --- replay ------------------------------------------------------------
 
-    def replay(self, input_structure: Structure, witness: Witness) -> Trace:
+    def replay(self, witness: Witness) -> Trace:
         """Deterministically re-derive the witness trace; raises
         ``ChoiceMismatchError`` when the certificate does not replay.
 
@@ -663,16 +651,14 @@ class Evaluator:
         number of choices replayed before it (the index of the failing one).
         Each replayed choice adds one letter, so the checks of
         ``final_length`` up front keep the trace within the length bound.
-        An invalid program raises as it does for a run, before any replay.
         """
-        _check_input(self.program, input_structure)
         chooser = _Chooser(witness.choices)
         try:
             if witness.final_length != 1 + len(witness.choices):
                 raise ChoiceMismatchError("final_length does not match the number of choices")
             if witness.final_length > self.cfg.max_trace_length:
                 raise ChoiceMismatchError("certificate exceeds the configured length bound")
-            trace = self._replay(self.program.core, Trace.initial(input_structure), chooser)
+            trace = self._replay(self.program.core, Trace.initial(self.input), chooser)
             if not chooser.exhausted():
                 raise ChoiceMismatchError("certificate has more choices than the derivation uses")
         except ChoiceMismatchError as e:
@@ -697,7 +683,7 @@ class Evaluator:
                     check_choice(self.program.compiled[name], trace.input, trace.last, choice)
                     chooser.pos += 1
                     self.nodes += 1
-                    trace = trace.extend(apply_choice(trace.input, trace.last, choice), choice)
+                    trace = trace.extend(choice)
                 case T.Seq(a, b):
                     work.append(b)
                     work.append(a)
@@ -736,16 +722,15 @@ class Evaluator:
         return trace
 
 
-def _check_input(program: Program, input_structure: Structure) -> Program:
+def _check_input(program: Program, input_structure: Structure) -> None:
     """Refuse an invalid program, with the error class its text would be
-    refused with, else return it.  The program was validated when it was
-    built; only the constants depend on the input's domain."""
+    refused with.  The program was validated when it was built; only the
+    constants depend on the input's domain."""
     if input_structure.vocabulary != program.vocabulary:
         raise VocabularyMismatchError("input structure does not match the program vocabulary")
     diags = [*program.diagnostics, *check_constants(program, input_structure.domain)]
     if diags:
         raise diags[0].error(f"program is not valid: {diags[0]}")
-    return program
 
 
 # --- module-level convenience surface ---------------------------------------
@@ -758,16 +743,18 @@ def eval_deltas(
     flag telling whether the enumeration is complete (no bound was hit).
     ``term`` is compiled with the program's modules, and refused as a run
     refuses an invalid program."""
-    compiled = _check_input(replace(program, main=term), trace.input)
-    return Evaluator(compiled, cfg).extensions(compiled.core, trace)
+    compiled = replace(program, main=term)
+    scope = _Scope()
+    found = list(Evaluator(compiled, trace.input, cfg).iter_extensions(compiled.core, trace, scope))
+    return found, not scope.hit
 
 
 def holds_antidomain(program: Program, term: T.Term, trace: Trace, cfg: SearchConfig):
     """Three-valued anti-domain test: True iff no bounded extension lets
     ``term`` succeed; None when the bounded search is inconclusive.  The
     term is compiled and refused as in :func:`eval_deltas`."""
-    compiled = _check_input(replace(program, main=term), trace.input)
-    r = Evaluator(compiled, cfg).exists(compiled.core, trace)
+    compiled = replace(program, main=term)
+    r = Evaluator(compiled, trace.input, cfg).exists(compiled.core, trace)
     return None if r is None else not r
 
 
@@ -780,7 +767,7 @@ def run_main_task(
         raise TraceLangError("the main task starts from a blank register valuation")
     if cfg is None:
         cfg = SearchConfig.for_run(program, input_structure)
-    return Evaluator(program, cfg).run(input_structure)
+    return Evaluator(program, input_structure, cfg).run()
 
 
 def enumerate_witnesses(
@@ -790,7 +777,7 @@ def enumerate_witnesses(
     ``cfg.witness_limit``."""
     if cfg is None:
         cfg = SearchConfig.for_run(program, input_structure)
-    return Evaluator(program, cfg).enumerate(input_structure)
+    return Evaluator(program, input_structure, cfg).enumerate()
 
 
 def verify_witness(
@@ -816,7 +803,7 @@ def replay_failure(
     if cfg is None:
         cfg = SearchConfig.for_run(program, input_structure)
     try:
-        Evaluator(program, cfg).replay(input_structure, witness)
+        Evaluator(program, input_structure, cfg).replay(witness)
         return None
     except ChoiceMismatchError as e:
         return str(e)

@@ -24,8 +24,8 @@ and evaluates each shared subterm once per trace:
   computed table memoises on node identity (Bryant, IEEE ToC 1986); no
   other subterm is memoised, as a memo on every node would keep every
   intermediate extension set alive for the whole check;
-* a module's outcomes are cached per input structure, module and whole
-  register valuation.
+* a module's choices are cached per input structure, module and whole
+  register valuation; ``Trace.extend`` applies each one.
 
 The recursion is unchanged by this: one call per term level, with the left
 spine of a ``;`` chain walked in a loop and the unfoldings of a maximum
@@ -42,7 +42,7 @@ from typing import Iterable
 
 from .engine import SearchConfig, Trace, check_bg, check_eq
 from .errors import UnknownModuleError
-from .modules import successor_choices, apply_choice
+from .modules import successor_choices
 from .parser import Program
 from . import terms as T
 
@@ -88,8 +88,8 @@ class _Deno:
 
     def __init__(self, program: Program, cfg: SearchConfig, *terms: T.Term):
         self.program, self.cfg = program, cfg
-        # (id(input), module, valuation) -> ((valuation after, choice), ...),
-        # with the input, which keeps its id from being reused
+        # (id(input), module, valuation) -> (choices, input); the input keeps
+        # its id from being reused
         self.steps: dict[tuple, tuple] = {}
         self.built = 0  # successor traces built, against cfg.node_budget
         # One walk over every desugared term, with an explicit stack, once
@@ -210,14 +210,13 @@ class _Deno:
             module = self.program.compiled.get(name)
             if module is None:  # a program built directly can lack it
                 raise UnknownModuleError(f"module {name} is undefined or has a rule that does not compile")
-            steps = tuple((apply_choice(s, r, c), c) for c in successor_choices(module, s, r))
-            cached = self.steps[key] = steps, s
+            cached = self.steps[key] = successor_choices(module, s, r), s
         steps = cached[0]
         budget = self.cfg.node_budget
         if budget is not None and self.built + len(steps) > budget:
             return _CUT
         self.built += len(steps)
-        return frozenset(trace.extend(regs, c) for regs, c in steps), True
+        return frozenset(trace.extend(c) for c in steps), True
 
     def _iterate(self, body: T.Term, trace: Trace) -> tuple[frozenset[Trace], bool]:
         """The traces where an unfolding of ``body`` from ``trace`` stops,

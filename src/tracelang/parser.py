@@ -8,9 +8,10 @@ Program file format (``#`` starts a comment)::
     module Step { Next(y) <~ Reach(x), E(x, y) }
     term: GuessP ; BG(P != P)
 
-Rules are separated by newlines or ``;`` inside the braces.  Atom arguments
-are variables (lower-case identifiers) or quoted element constants.  The term
-expression may span lines; it ends at the next top-level keyword or at the
+Line breaks are whitespace.  A rule ends where its next token is not ``,``,
+and an optional ``;`` may separate it from the next rule inside the braces.
+Atom arguments are variables (lower-case identifiers) or quoted element
+constants.  The term expression ends at the next top-level keyword or at the
 end of the file.
 
 Operator precedence, tightest first: postfix ``^``; prefix ``~``/``not``;
@@ -67,7 +68,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # 'name', 'int', 'string', 'op', 'newline', 'eof'
+    kind: str  # 'name', 'int', 'string', 'op', 'eof'
     text: str
     line: int
 
@@ -82,13 +83,10 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line)
         pos = m.end()
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
         if kind == "newline":
-            tokens.append(Token("newline", "\n", line))
             line += 1
-            continue
-        tokens.append(Token(kind, m.group(), line))
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(kind, m.group(), line))
     tokens.append(Token("eof", "", line))
     return tokens
 
@@ -141,7 +139,6 @@ class Program:
     vocabulary: Vocabulary
     modules: dict[str, ModuleDef]
     main: T.Term
-    source: str = field(default="", compare=False)
     core: T.Term = field(**_COMPILED)
     check_depth: int = field(**_COMPILED)
     footprint: dict = field(**_COMPILED)
@@ -165,29 +162,19 @@ class _Parser:
         term recurse once per level, so past ``MAX_NESTING`` it stops."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"term is nested more than {MAX_NESTING} levels deep",
-                self.peek(skip_newlines=True).line,
-            )
+            raise ParseError(f"term is nested more than {MAX_NESTING} levels deep", self.peek().line)
 
-    def peek(self, skip_newlines: bool = False) -> Token:
-        i = self.pos
-        if skip_newlines:
-            while self.tokens[i].kind == "newline":
-                i += 1
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self, skip_newlines: bool = False) -> Token:
-        if skip_newlines:
-            while self.tokens[self.pos].kind == "newline":
-                self.pos += 1
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, text: str, skip_newlines: bool = False) -> Token:
-        tok = self.next(skip_newlines)
+    def expect(self, text: str) -> Token:
+        tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line)
         return tok
@@ -200,12 +187,12 @@ class _Parser:
         self._descend()
         left = self._parse_seq()
         while not self._at_expr_end():
-            tok = self.peek(skip_newlines=True)
+            tok = self.peek()
             if tok.text == "<+":
-                self.next(skip_newlines=True)
+                self.next()
                 left = T.PrefUnion(left, self._parse_seq())
             elif tok.text == "or":
-                self.next(skip_newlines=True)
+                self.next()
                 left = T.Or(left, self._parse_seq())
             else:
                 break
@@ -213,28 +200,28 @@ class _Parser:
         return left
 
     def _at_expr_end(self) -> bool:
-        tok = self.peek(skip_newlines=True)
+        tok = self.peek()
         return tok.kind == "eof" or tok.text in ("module", "term", ")", ",", "then", "else", "do", "until")
 
     def _parse_seq(self) -> T.Term:
         left = self._parse_prefix()
         while not self._at_expr_end():
-            tok = self.peek(skip_newlines=True)
+            tok = self.peek()
             if tok.text == ";":
-                self.next(skip_newlines=True)
+                self.next()
                 left = T.Seq(left, self._parse_prefix())
             elif tok.text == "and":
-                self.next(skip_newlines=True)
+                self.next()
                 left = T.And(left, self._parse_prefix())
             else:
                 break
         return left
 
     def _parse_prefix(self) -> T.Term:
-        tok = self.peek(skip_newlines=True)
+        tok = self.peek()
         if tok.text not in ("~", "not"):
             return self._parse_postfix()
-        self.next(skip_newlines=True)
+        self.next()
         self._descend()
         inner = self._parse_prefix()
         self.depth -= 1
@@ -242,16 +229,16 @@ class _Parser:
 
     def _parse_postfix(self) -> T.Term:
         term = self._parse_atom()
-        while self.peek(skip_newlines=True).text == "^":
-            self.next(skip_newlines=True)
+        while self.peek().text == "^":
+            self.next()
             term = T.MaxIterate(term)
         return term
 
     def _parse_atom(self) -> T.Term:
-        tok = self.next(skip_newlines=True)
+        tok = self.next()
         if tok.text == "(":
             inner = self.parse_expr()
-            self.expect(")", skip_newlines=True)
+            self.expect(")")
             return inner
         if tok.text == "id":
             return T.Id()
@@ -260,58 +247,58 @@ class _Parser:
         if tok.text == "fail":
             return T.Fail()
         if tok.text in ("test", "dom"):
-            self.expect("(", skip_newlines=True)
+            self.expect("(")
             inner = self.parse_expr()
-            self.expect(")", skip_newlines=True)
+            self.expect(")")
             return T.Test(inner) if tok.text == "test" else T.Dom(inner)
         if tok.text == "dia":
-            self.expect("(", skip_newlines=True)
+            self.expect("(")
             proc = self.parse_expr()
-            self.expect(",", skip_newlines=True)
+            self.expect(",")
             cond = self.parse_expr()
-            self.expect(")", skip_newlines=True)
+            self.expect(")")
             return T.Dia(proc, cond)
         if tok.text == "pow":
-            self.expect("(", skip_newlines=True)
+            self.expect("(")
             base = self.parse_expr()
-            self.expect(",", skip_newlines=True)
-            n_tok = self.next(skip_newlines=True)
+            self.expect(",")
+            n_tok = self.next()
             if n_tok.kind != "int":
                 raise ParseError("pow exponent must be an integer literal", n_tok.line)
-            self.expect(")", skip_newlines=True)
+            self.expect(")")
             return T.Pow(base, int(n_tok.text))
         if tok.text == "if":
             cond = self.parse_expr()
-            self.expect("then", skip_newlines=True)
+            self.expect("then")
             then = self.parse_expr()
-            self.expect("else", skip_newlines=True)
+            self.expect("else")
             orelse = self.parse_expr()
             return T.If(cond, then, orelse)
         if tok.text == "while":
             cond = self.parse_expr()
-            self.expect("do", skip_newlines=True)
+            self.expect("do")
             return T.While(cond, self.parse_expr())
         if tok.text == "repeat":
             body = self.parse_expr()
-            self.expect("until", skip_newlines=True)
+            self.expect("until")
             return T.Repeat(body, self.parse_expr())
         if tok.text == "BG":
-            self.expect("(", skip_newlines=True)
+            self.expect("(")
             left = self._symbol_token()
-            self.expect("!=", skip_newlines=True)
+            self.expect("!=")
             right = self._symbol_token()
-            self.expect(")", skip_newlines=True)
+            self.expect(")")
             return T.BackGlobal(left, right)
         if tok.kind == "name" and tok.text not in KEYWORDS:
-            if self.peek(skip_newlines=True).text == "==":
-                self.next(skip_newlines=True)
+            if self.peek().text == "==":
+                self.next()
                 right = self._symbol_token()
                 return T.EqTest(tok.text, right)
             return T.ModuleRef(tok.text)
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r} in term", tok.line)
 
     def _symbol_token(self) -> str:
-        tok = self.next(skip_newlines=True)
+        tok = self.next()
         if tok.kind != "name" or tok.text in KEYWORDS:
             raise ParseError(f"expected a symbol name, found {tok.text!r}", tok.line)
         return tok.text
@@ -319,13 +306,13 @@ class _Parser:
     # --- rules and modules ----------------------------------------------
 
     def parse_atom_pred(self) -> Atom:
-        sym = self.next(skip_newlines=True)
+        sym = self.next()
         if sym.kind != "name":
             raise ParseError(f"expected an atom, found {sym.text!r}", sym.line)
-        self.expect("(", skip_newlines=True)
+        self.expect("(")
         args: list = []
         while True:
-            tok = self.next(skip_newlines=True)
+            tok = self.next()
             if tok.kind == "string":
                 args.append(Const(tok.text[1:-1]))
             elif tok.kind == "name":
@@ -337,7 +324,7 @@ class _Parser:
                 args.append(tok.text)
             else:
                 raise ParseError(f"expected a variable or constant, found {tok.text!r}", tok.line)
-            sep = self.next(skip_newlines=True)
+            sep = self.next()
             if sep.text == ",":
                 continue
             if sep.text == ")":
@@ -346,7 +333,7 @@ class _Parser:
         return Atom(sym.text, tuple(args))
 
     def parse_rule(self) -> Rule:
-        head = self.next(skip_newlines=True)
+        head = self.next()
         if head.kind != "name":
             raise ParseError(f"expected a rule head, found {head.text!r}", head.line)
         self.expect("(")
@@ -362,19 +349,18 @@ class _Parser:
         return Rule(head.text, CQBody(var.text, tuple(atoms)), line=head.line)
 
     def parse_module(self) -> ModuleDef:
-        name = self.next(skip_newlines=True)
+        name = self.next()
         if name.kind != "name":
             raise ParseError(f"expected a module name, found {name.text!r}", name.line)
-        self.expect("{", skip_newlines=True)
+        self.expect("{")
         rules: list[Rule] = []
         while True:
-            tok = self.peek(skip_newlines=True)
+            tok = self.peek()
             if tok.text == "}":
-                self.next(skip_newlines=True)
+                self.next()
                 break
             rules.append(self.parse_rule())
-            sep = self.peek()
-            if sep.text == ";" or sep.kind == "newline":
+            if self.peek().text == ";":
                 self.next()
         return ModuleDef(name.text, tuple(rules), line=name.line)
 
@@ -383,7 +369,7 @@ def parse_term(text: str) -> T.Term:
     """Parse one term expression (no validation against a vocabulary)."""
     parser = _Parser(tokenize(text))
     term = parser.parse_expr()
-    trailing = parser.peek(skip_newlines=True)
+    trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line)
     return term
@@ -395,17 +381,17 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
     modules: dict[str, ModuleDef] = {}
     main: T.Term | None = None
     while True:
-        tok = parser.peek(skip_newlines=True)
+        tok = parser.peek()
         if tok.kind == "eof":
             break
         if tok.text == "module":
-            parser.next(skip_newlines=True)
+            parser.next()
             mod = parser.parse_module()
             if mod.name in modules:
                 raise DuplicateSymbolError(f"module {mod.name} defined twice", mod.line)
             modules[mod.name] = mod
         elif tok.text == "term":
-            parser.next(skip_newlines=True)
+            parser.next()
             parser.expect(":")
             if main is not None:
                 raise ParseError("more than one term directive", tok.line)
@@ -414,7 +400,7 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
             raise ParseError(f"expected 'module' or 'term', found {tok.text!r}", tok.line)
     if main is None:
         raise ParseError("program has no term directive")
-    program = Program(vocabulary, modules, main, source=text)
+    program = Program(vocabulary, modules, main)
     if program.diagnostics:
         d = program.diagnostics[0]
         raise d.error(d.message, d.line)

@@ -21,12 +21,12 @@ from tracelang.engine import (
     Evaluator,
     SearchConfig,
     Trace,
+    eval_deltas,
     run_main_task,
     verify_witness,
     witness_length,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
-from tracelang.modules import apply_choice
 from tracelang.parser import parse_program
 from tracelang.problems import (
     ProblemId,
@@ -207,7 +207,7 @@ def test_criterion_7_engine_vs_denotational_cross_check():
         cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
-        found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
+        found, complete = eval_deltas(prog, prog.main, base, cfg)
         if deno is UNKNOWN or not complete:
             continue
         compared += 1
@@ -273,8 +273,8 @@ def test_criterion_8_certificate_round_trip_and_mutations(corpus):
         assert verdict.kind == "yes" and witness_length(verdict.witness) == j
         # the deterministic count next to the timing: replay expands exactly
         # one node per certificate step, and its checks expand none
-        replayer = Evaluator(prog, cfg)
-        replayer.replay(s, verdict.witness)
+        replayer = Evaluator(prog, s, cfg)
+        replayer.replay(verdict.witness)
         assert replayer.nodes == j
         certificates[j] = (prog, verdict.witness, cfg)
     rng = random.Random(8)
@@ -398,7 +398,7 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         prog = random_program(rng, s, depth=2)
         t = random_core_term(rng, sorted(prog.modules), rng.randint(0, 2))
         cfg = SearchConfig(k=2, max_trace_length=5)
-        ev = Evaluator(prog, cfg)
+        ev = Evaluator(prog, s, cfg)
         # build a random base trace by a few module steps
         base = Trace.initial(s)
         for _ in range(rng.randint(0, 2)):
@@ -406,12 +406,12 @@ def test_criterion_10_weak_idempotence_of_antidomain():
             if not steps:
                 break
             choice = rng.choice(steps)
-            base = base.extend(apply_choice(s, base.last, choice), choice)
-        single, c1 = ev.extensions(T.AntiDomain(t), base)
+            base = base.extend(choice)
+        single, c1 = eval_deltas(prog, T.AntiDomain(t), base, cfg)
         if not c1 or not single:
             continue  # only bases where the anti-domain passes count
         checked += 1
-        triple, c3 = ev.extensions(T.AntiDomain(T.AntiDomain(T.AntiDomain(t))), base)
+        triple, c3 = eval_deltas(prog, T.AntiDomain(T.AntiDomain(T.AntiDomain(t))), base, cfg)
         if not c3 or [u.key() for u in triple] != [u.key() for u in single]:
             failures += 1
     passed = checked == 100 and failures == 0

@@ -23,7 +23,7 @@ from tracelang.engine import (
 )
 from tracelang.errors import InvalidParamsError, ParseError, TraceLangError
 from tracelang.lab import UNKNOWN, is_defined
-from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, successor_choices
+from tracelang.modules import Choice, ModuleDef, Rule, successor_choices
 from tracelang.parser import MAX_NESTING, Program, parse_program, parse_term
 
 from helpers import (
@@ -119,16 +119,16 @@ def test_check_bg():
     assert check_bg("P", "P", base)
 
     # after O held a, guessing P=a violates BG(P != O)
-    mid = base.extend((None, "a"), Choice("m", (("O", "a"),)))
-    late = mid.extend(("a", "a"), Choice("m", (("P", "a"),)))
+    mid = base.extend(Choice("m", (("O", "a"),)))
+    late = mid.extend(Choice("m", (("P", "a"),)))
     assert not check_bg("P", "O", late)
-    fresh = mid.extend(("b", "a"), Choice("m", (("P", "b"),)))
+    fresh = mid.extend(Choice("m", (("P", "b"),)))
     assert check_bg("P", "O", fresh)
 
 
 def test_check_bg_blank_equals_blank():
     s = structure_of(("a",), registers=("P", "Q"))
-    tr = Trace.initial(s).extend(s.registers, Choice("m", ()))
+    tr = Trace.initial(s).extend(Choice("m", ()))
     # P blank now, Q blank earlier: the interpretations coincide
     assert not check_bg("P", "Q", tr)
 
@@ -299,8 +299,8 @@ def test_search_is_deterministic():
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
         cfg = SearchConfig(k=2, max_trace_length=5)
-        v1 = Evaluator(prog, cfg).run(s)
-        v2 = Evaluator(prog, cfg).run(s)
+        v1 = Evaluator(prog, s, cfg).run()
+        v2 = Evaluator(prog, s, cfg).run()
         assert v1.kind == v2.kind
         if v1.kind == "yes":
             assert v1.witness == v2.witness
@@ -321,7 +321,7 @@ def test_witness_limit_caps_enumeration():
     s = structure_of(("a", "b", "c", "d"), registers=("P",))
     prog = guess_program(s)
     cfg = SearchConfig.for_run(prog, s, witness_limit=2)
-    assert len(Evaluator(prog, cfg).enumerate(s)) == 2
+    assert len(Evaluator(prog, s, cfg).enumerate()) == 2
 
 
 def test_element_constants_in_rule_bodies():
@@ -428,7 +428,7 @@ def test_replay_tests_each_choice_without_building_an_answer_set(monkeypatch):
             m.setattr(engine, "successor_choices", oracle_successors)
             for name, module in prog.compiled.items():
                 m.setitem(prog.compiled, name, module._replace(answers=(refuse,) * len(module.answers)))
-            trace = Evaluator(prog, _cfg(prog, s)).replay(s, witness)
+            trace = Evaluator(prog, s, _cfg(prog, s)).replay(witness)
         assert trace.choices == witness.choices
 
 
@@ -544,19 +544,19 @@ def test_persistent_trace_matches_tuple_reference():
         for _ in range(60):
             node, letters, choices = rng.choice(nodes)
             values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
-            choice = Choice("m", tuple(zip(("P", "Q"), values)))
             if rng.random() < 0.3:
-                node.extend(values, choice)  # probe, dropped
+                node.extend(Choice("m", tuple(zip(("P", "Q"), values))))  # probe, dropped
                 values = tuple(rng.choice((None, "a", "b", "c")) for _ in range(2))
+            choice = Choice("m", tuple(zip(("P", "Q"), values)))
             letter = s.with_registers(values)
-            nodes.append((node.extend(values, choice), letters + (letter,), choices + (choice,)))
+            nodes.append((node.extend(choice), letters + (letter,), choices + (choice,)))
         # an equal chain with no shared ancestor, from an equal input
         twin = Trace.initial(structure_of(
             ("a", "b", "c"), {"U": {("a",), ("c",)}}, registers=("P", "Q"), arities={"U": 1}
         ))
         _, letters, choices = max(nodes, key=lambda n: len(n[1]))
-        for letter, choice in zip(letters[1:], choices):
-            twin = twin.extend(letter.registers, choice)
+        for choice in choices:
+            twin = twin.extend(choice)
         nodes.append((twin, letters, choices))
         # same valuations over a different EDB: never equal
         other = Trace.initial(structure_of(
@@ -567,7 +567,7 @@ def test_persistent_trace_matches_tuple_reference():
         for trace, letters, choices in nodes:
             assert trace.letters == letters and trace.choices == choices
             assert trace.key() == tuple(letter.registers for letter in letters)
-            assert len(trace) == len(letters) and trace.last is letters[-1].registers
+            assert len(trace) == len(letters) and trace.last == letters[-1].registers
             for p in ("P", "Q", "U"):
                 for q in ("P", "Q", "U"):
                     assert check_bg(p, q, trace) == _ref_check_bg(p, q, letters)
@@ -615,7 +615,7 @@ def _random_walk(rng, program, trace, steps):
         if not choices:
             break
         choice = rng.choice(choices)
-        trace = trace.extend(apply_choice(trace.input, trace.last, choice), choice)
+        trace = trace.extend(choice)
     return trace
 
 
@@ -635,7 +635,7 @@ def _trace_of(s, valuations):
     each made by a choice that writes every register."""
     trace = Trace.initial(s)
     for values in valuations:
-        trace = trace.extend(values, Choice("m", tuple(zip(s.vocabulary.register_symbols, values))))
+        trace = trace.extend(Choice("m", tuple(zip(s.vocabulary.register_symbols, values))))
     return trace
 
 
@@ -645,7 +645,8 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
     # nothing tabled.  The traces are one random trace and every variant of
     # it that changes one register at one letter, so a register left out of
     # a key, or a history left out, shows as a stale answer.  Every query
-    # comes over each of two inputs that differ only in their EDB.
+    # comes over each of two inputs that differ only in their EDB, and the
+    # shared evaluator is one per input.
     rng = random.Random(53)
     hits = 0
     for _ in range(40):
@@ -694,11 +695,11 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
         traces = [_trace_of(s, vs) for s in inputs for vs in variants]
         queries = [(t, tr) for t in terms for tr in traces]
         rng.shuffle(queries)
-        shared = Evaluator(prog, cfg)
+        shared = {id(s): Evaluator(prog, s, cfg) for s in inputs}
         for t, tr in queries:
-            assert shared.exists(t, tr) == Evaluator(prog, cfg).exists(t, tr)
-        hits += shared.table_hits
-        assert shared.exists_calls >= len(queries)  # nested checks count too
+            assert shared[id(tr.input)].exists(t, tr) == Evaluator(prog, tr.input, cfg).exists(t, tr)
+        hits += sum(ev.table_hits for ev in shared.values())
+        assert sum(ev.exists_calls for ev in shared.values()) >= len(queries)  # nested checks count too
     assert hits > 0
 
 
@@ -737,10 +738,10 @@ def test_module_free_checks_match_the_oracle_and_the_nested_search():
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
         t = _random_test_term(rng, rng.randint(1, 4))
         cfg = SearchConfig(k=2, max_trace_length=8)
-        ev = Evaluator(prog, cfg)
+        ev = Evaluator(prog, s, cfg)
         r = ev.exists(t, trace)
         assert r == is_defined(prog, t, trace, cfg)
-        assert r == _nested_search(Evaluator(prog, cfg), t, trace)
+        assert r == _nested_search(Evaluator(prog, s, cfg), t, trace)
         assert ev.nodes == 0 and not ev._table
 
 
@@ -757,7 +758,7 @@ def test_exists_matches_the_nested_search_on_terms_with_modules():
         t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
         cfg = SearchConfig(k=2, max_trace_length=5)
         oracle = is_defined(prog, t, trace, cfg)
-        direct, searched = Evaluator(prog, cfg), Evaluator(prog, cfg)
+        direct, searched = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)
         r = direct.exists(t, trace)
         assert r == _nested_search(searched, t, trace)
         assert direct.nodes == searched.nodes
@@ -778,7 +779,7 @@ def _reference_extensions(ev, term, trace, scope):
                 scope.hit = True
                 return
             ev.nodes += 1
-            yield trace.extend(apply_choice(trace.input, trace.last, choice), choice)
+            yield trace.extend(choice)
     elif cls is T.Seq:
         for u in _reference_extensions(ev, term.left, trace, scope):
             yield from _reference_extensions(ev, term.right, u, scope)
@@ -843,13 +844,13 @@ def test_fused_unions_match_the_unfused_reference():
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         for budget in (None, rng.choice([3, 10, 30])):
             cfg = SearchConfig(k=2, max_trace_length=rng.randint(2, 5), node_budget=budget)
-            ev, ref = Evaluator(prog, cfg), Evaluator(prog, cfg)
-            verdict = ev.run(s)
+            ev, ref = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)
+            verdict = ev.run()
             scope = engine._Scope()
             first = next(_reference_extensions(ref, prog.core, Trace.initial(s), scope), None)
             kind = "yes" if first is not None else "bound-exceeded" if scope.hit else "no"
-            exts, complete = Evaluator(prog, cfg).extensions(prog.core, trace)
-            ref_ev, scope = Evaluator(prog, cfg), engine._Scope()
+            exts, complete = eval_deltas(prog, prog.main, trace, cfg)
+            ref_ev, scope = Evaluator(prog, s, cfg), engine._Scope()
             ref_exts = list(_reference_extensions(ref_ev, prog.core, trace, scope))
             if budget is None:
                 assert verdict.kind == kind and verdict.nodes <= ref.nodes
@@ -858,8 +859,8 @@ def test_fused_unions_match_the_unfused_reference():
                     assert verdict.witness == Witness(first.choices, len(first))
                 assert [t.key() for t in exts] == [t.key() for t in ref_exts]
                 assert complete == (not scope.hit)
-                witnesses = Evaluator(prog, cfg).enumerate(s)
-                ref_ev, keys = Evaluator(prog, cfg), {}
+                witnesses = Evaluator(prog, s, cfg).enumerate()
+                ref_ev, keys = Evaluator(prog, s, cfg), {}
                 for t in _reference_extensions(ref_ev, prog.core, Trace.initial(s), engine._Scope()):
                     keys.setdefault(t.key(), Witness(t.choices, len(t)))
                 assert witnesses == list(keys.values())[: cfg.witness_limit]
@@ -883,8 +884,8 @@ def test_table_holds_no_inconclusive_answer():
         dataclasses.replace(full, max_trace_length=7),
         dataclasses.replace(full, node_budget=150),
     ):
-        ev = Evaluator(prog, cfg)
-        assert ev.run(inst).kind == "bound-exceeded"
+        ev = Evaluator(prog, inst, cfg)
+        assert ev.run().kind == "bound-exceeded"
         assert ev._table and None not in ev._table.values()
     rng = random.Random(61)
     for _ in range(100):
@@ -895,8 +896,8 @@ def test_table_holds_no_inconclusive_answer():
             max_trace_length=rng.randint(2, 4),
             node_budget=rng.choice([None, 5, 20]),
         )
-        ev = Evaluator(prog, cfg)
-        ev.run(s)
+        ev = Evaluator(prog, s, cfg)
+        ev.run()
         assert None not in ev._table.values()
 
 
@@ -912,8 +913,8 @@ def test_st_conn_node_counts_are_exact():
     for s, t, kind, nodes in ((order[0], order[-1], "yes", 2399), (order[1], order[0], "no", 2397)):
         inst = make_st_instance(n, edges, s, t)
         prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
-        ev = Evaluator(prog, SearchConfig.for_run(prog, inst))
-        verdict = ev.run(inst)
+        ev = Evaluator(prog, inst, SearchConfig.for_run(prog, inst))
+        verdict = ev.run()
         assert verdict.kind == kind and verdict.nodes == nodes
         assert ev.exists_calls > 0 and ev.table_hits == 0 and not ev._table
 
@@ -943,7 +944,7 @@ def test_resolved_tests_decide_as_the_name_lookups_do():
     # A program's core holds its == and BG tests with the positions of their
     # register sides.  Run as a program's term, searched or checked, each
     # decides as check_eq and check_bg decide by name, on random walks built
-    # with apply_choice over structures that order three registers at random
+    # with Trace.extend over structures that order three registers at random
     # and hold unary EDB symbols of any size.
     rng = random.Random(83)
     modules = (
@@ -964,10 +965,11 @@ def test_resolved_tests_decide_as_the_name_lookups_do():
                 for test, check in ((f"{p} == {q}", check_eq), (f"BG({p} != {q})", check_bg)):
                     prog = _program(modules + "term: " + test, s)
                     assert prog.core.positions == (index.get(p), index.get(q))
-                    ev = Evaluator(prog, SearchConfig(k=2, max_trace_length=10))
+                    cfg = SearchConfig(k=2, max_trace_length=10)
+                    ev = Evaluator(prog, s, cfg)
                     for trace in traces:
                         holds = check(p, q, trace)
-                        assert ev.extensions(prog.core, trace) == ([trace] if holds else [], True)
+                        assert eval_deltas(prog, prog.main, trace, cfg) == ([trace] if holds else [], True)
                         assert ev.exists(prog.core, trace) is holds
                         decided.add((test, holds))
     assert len(decided) == 4 * len(symbols) ** 2 - len(symbols)  # only x == x never fails
@@ -1133,7 +1135,7 @@ def test_programs_past_the_nesting_bound_are_rejected():
         assert prog.check_depth == deep and prog.diagnostics
         for call in (
             lambda: run_main_task(prog, s),
-            lambda: Evaluator(prog, cfg).replay(s, Witness((), 1)),
+            lambda: Evaluator(prog, s, cfg).replay(Witness((), 1)),
             lambda: eval_deltas(guess, main, start, cfg),
             lambda: holds_antidomain(guess, main, start, cfg),
         ):
@@ -1190,8 +1192,8 @@ def test_a_preferential_union_chain_searches_each_arm_once():
     s = structure_of(("a", "b"), registers=("P",))
     prog = _program("module GuessP { P(x) <~ adom(x) }\nterm: " + " <+ ".join(["GuessP"] * 101), s)
     assert prog.check_depth == MAX_NESTING
-    ev = Evaluator(prog, _cfg(prog, s))
-    verdict = ev.run(s)
+    ev = Evaluator(prog, s, _cfg(prog, s))
+    verdict = ev.run()
     assert verdict.kind == "yes" and verdict.nodes == 1
     assert verdict.witness == Witness((Choice("GuessP", (("P", "a"),)),), 2)
     assert ev.exists_calls == 0 and ev.table_hits == 0

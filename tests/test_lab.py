@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tracelang import terms as T
-from tracelang.engine import Evaluator, SearchConfig, Trace
+from tracelang.engine import SearchConfig, Trace, eval_deltas
 from tracelang.lab import (
     UNKNOWN,
     before_after_equivalent,
@@ -137,7 +137,7 @@ def test_denotational_agrees_with_engine_on_random_cases():
         cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
-        found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
+        found, complete = eval_deltas(prog, prog.main, base, cfg)
         if deno is UNKNOWN or not complete:
             continue
         assert {t.key() for t in found} == {t.key() for t in deno.extensions}

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from tracelang import terms as T
-from tracelang.engine import Evaluator, SearchConfig, Trace, run_main_task
+from tracelang.engine import SearchConfig, Trace, eval_deltas, run_main_task
 from tracelang.errors import (
     ArityError,
     HeadVarUnusedError,
@@ -62,6 +62,25 @@ def test_rule_parse_errors():
         parse_program("module M { P(x) <~ adom(X) }\nterm: M", VOCAB)  # uppercase variable
     with pytest.raises(ParseError):
         parse_program("module M { P(x) adom(x) }\nterm: M", VOCAB)
+
+
+def test_line_breaks_are_whitespace():
+    # Each bundled program, re-joined with one token per line, parses to the
+    # program its own text parses to: a line break ends no rule head, ``<~``,
+    # ``,`` continuation or ``term:`` directive.  Lines are still counted.
+    from tracelang.parser import tokenize
+    from tracelang.problems import ProblemId, build_instance, program_text
+
+    for pid in ProblemId:
+        vocab = build_instance(pid).vocabulary
+        text = program_text(pid)
+        tokens = tokenize(text)
+        spread = "\n".join(tok.text for tok in tokens)
+        assert parse_program(spread, vocab) == parse_program(text, vocab)
+        assert [tok.line for tok in tokenize(spread)] == list(range(1, len(tokens) + 1))
+    with pytest.raises(ParseError) as err:
+        parse_program("module M {\n  P(x) <~ adom(x)\n}\nterm: M ;\n\n)", VOCAB)
+    assert err.value.line == 6
 
 
 def test_desugar_while():
@@ -219,7 +238,7 @@ def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
         cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
-        found, complete = Evaluator(prog, cfg).extensions(prog.core, base)
+        found, complete = eval_deltas(prog, prog.main, base, cfg)
         assert complete == (deno is not UNKNOWN)
         if complete:
             compared += 1

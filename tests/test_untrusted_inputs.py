@@ -174,9 +174,9 @@ def test_a_single_field_mutant_gets_a_verdict(text):
         return
     structure = parse_structure(STRUCTURE)
     program = parse_program(PROGRAM, structure.vocabulary)
-    replayer = Evaluator(program, SearchConfig.for_run(program, structure, k=doc["k"]))
+    replayer = Evaluator(program, structure, SearchConfig.for_run(program, structure, k=doc["k"]))
     try:
-        replayer.replay(structure, witness)
+        replayer.replay(witness)
     except ChoiceMismatchError:
         assert not ok
     else:
