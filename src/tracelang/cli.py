@@ -5,8 +5,8 @@ Exit codes are the scripting contract:
 * ``run``:    0 yes, 1 no, 2 bound-exceeded
 * ``verify``: 0 valid witness, 1 invalid (including hash mismatches)
 * ``equiv``:  0 equivalent, 1 not equivalent, 2 unknown under bounds
-* ``suite``:  0 iff every instance agreed with its oracle and no run hit
-  a bound
+* ``suite``:  0 iff every problem generated an instance, every instance
+  agreed with its oracle and no run hit a bound
 * every command: 64 bad input (usage errors, any ``TraceLangError``, files
   that cannot be read or written), after ``error: <message>`` on stderr;
   70 any other exception, after its traceback and ``internal error: <type>:
@@ -225,7 +225,7 @@ def cmd_suite(args) -> int:
         elapsed = time.perf_counter() - start
         seconds = "-" if args.no_timing else f"{elapsed:8.2f}"
         print(f"{pid.value:<12} {total:>9} {agree:>6} {bound:>6} {seconds:>8}")
-        if agree != total or bound:
+        if not total or agree != total or bound:
             exit_code = 1
     return exit_code
 
@@ -233,9 +233,12 @@ def cmd_suite(args) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like 2..5, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range must not end below its start, got {text!r}")
+    return lo, hi
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -271,7 +274,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run bundled problems against their oracles")
     suite.add_argument("--problem", default="all")
     suite.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
-    suite.add_argument("--trials", type=int, default=20)
+    suite.add_argument("--trials", type=_at_least(1, "trials", "at least 1"), default=20)
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--k", type=_exponent, default=2)
     suite.add_argument("--no-timing", action="store_true")

@@ -359,8 +359,8 @@ class _Chooser:
 
 class Evaluator:
     """Evaluates core terms of one program on one input under one bound
-    configuration.  It refuses an invalid program, or an input of another
-    vocabulary, when it is built; every trace it is given starts at that
+    configuration.  It refuses an input the program cannot run on (see
+    ``_check_input``) when it is built; every trace it is given starts at that
     input.  Search, checks and replay each add a few Python frames per
     nested universal check and none per sequence step, iterate unfolding or
     letter.
@@ -622,13 +622,12 @@ class Evaluator:
 
     def enumerate(self) -> list[Witness]:
         trace = Trace.initial(self.input)
-        seen: set = set()
+        seen: set[Trace] = set()
         out: list[Witness] = []
         for result in self.iter_extensions(self.program.core, trace, _Scope()):
-            key = result.key()
-            if key in seen:
+            if result in seen:
                 continue
-            seen.add(key)
+            seen.add(result)
             out.append(Witness(result.choices, len(result)))
             if len(out) >= self.cfg.witness_limit:
                 break
@@ -723,14 +722,12 @@ class Evaluator:
 
 
 def _check_input(program: Program, input_structure: Structure) -> None:
-    """Refuse an invalid program, with the error class its text would be
-    refused with.  The program was validated when it was built; only the
-    constants depend on the input's domain."""
+    """Refuse an input the program cannot run on: one of another vocabulary,
+    or whose domain lacks a constant of the program.  The program itself was
+    validated when it was built."""
     if input_structure.vocabulary != program.vocabulary:
         raise VocabularyMismatchError("input structure does not match the program vocabulary")
-    diags = [*program.diagnostics, *check_constants(program, input_structure.domain)]
-    if diags:
-        raise diags[0].error(f"program is not valid: {diags[0]}")
+    check_constants(program, input_structure.domain)
 
 
 # --- module-level convenience surface ---------------------------------------
@@ -741,8 +738,8 @@ def eval_deltas(
 ) -> tuple[list[Trace], bool]:
     """All bounded extensions of ``trace`` on which ``term`` succeeds, plus a
     flag telling whether the enumeration is complete (no bound was hit).
-    ``term`` is compiled with the program's modules, and refused as a run
-    refuses an invalid program."""
+    ``term`` is compiled with the program's modules, and refused as a
+    program built from them and ``term`` would be."""
     compiled = replace(program, main=term)
     scope = _Scope()
     found = list(Evaluator(compiled, trace.input, cfg).iter_extensions(compiled.core, trace, scope))

@@ -66,8 +66,12 @@ class DeltaSet:
     extensions: frozenset[Trace]
 
     def __post_init__(self):
+        n = len(self.base)
         for ext in self.extensions:
-            if ext.key()[: len(self.base)] != self.base.key():
+            node = ext
+            while len(node) > n:
+                node = node.parent
+            if node != self.base:
                 raise ValueError("extension does not extend its base")
 
 
@@ -208,8 +212,8 @@ class _Deno:
         cached = self.steps.get(key)
         if cached is None:
             module = self.program.compiled.get(name)
-            if module is None:  # a program built directly can lack it
-                raise UnknownModuleError(f"module {name} is undefined or has a rule that does not compile")
+            if module is None:  # a query term can name a module the program lacks
+                raise UnknownModuleError(f"module {name} is undefined")
             cached = self.steps[key] = successor_choices(module, s, r), s
         steps = cached[0]
         budget = self.cfg.node_budget

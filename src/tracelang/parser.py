@@ -21,7 +21,9 @@ nests parentheses, keyword arguments and prefix operators, or a program that
 nests universal checks, more than ``MAX_NESTING`` levels deep is rejected.
 
 Symbols are resolved against the vocabulary of the structure the program will
-run on, so parsing takes a :class:`Vocabulary`.
+run on, so parsing takes a :class:`Vocabulary`.  A :class:`Program` is valid
+when it exists: building one, from text or from parts, raises the first
+refusal its compile step finds, with the same class and message either way.
 """
 
 from __future__ import annotations
@@ -91,50 +93,20 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# diagnostic code -> the error that refuses a program with it (else ParseError)
-_ERRORS = {
-    "UnknownModule": UnknownModuleError,
-    "UnknownSymbol": UnknownSymbolError,
-    "UnknownElement": UnknownSymbolError,
-    "NonUnarySymbolInTest": NonUnarySymbolError,
-    "HeadVarUnused": HeadVarUnusedError,
-    "ArityMismatch": ArityError,
-}
-# the code of each error compile_body raises
-_CODES = {UnknownSymbolError: "UnknownSymbol", HeadVarUnusedError: "HeadVarUnused", ArityError: "ArityMismatch"}
-
-
-@dataclass
-class Diagnostic:
-    code: str
-    message: str
-    line: int | None = None
-
-    def __str__(self):
-        where = f" (line {self.line})" if self.line is not None else ""
-        return f"{self.code}: {self.message}{where}"
-
-    @property
-    def error(self) -> type:
-        """The ``TraceLangError`` class that refuses a program with this
-        diagnostic, by a parse and by a run alike."""
-        return _ERRORS.get(self.code, ParseError)
-
-
 _COMPILED = dict(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Program:
-    """A program over one vocabulary, compiled once when it is built:
-    ``core`` is the term the engine runs, its tests resolved to register
-    positions (see ``_compile``), ``check_depth`` the nesting depth
+    """A valid program over one vocabulary, compiled once when it is built;
+    building an invalid one raises the error ``parse_program`` refuses its
+    text with (see ``_compile``).  ``core`` is the term the engine runs, its
+    tests resolved to register positions, ``check_depth`` the nesting depth
     of the universal checks a search of it can open, ``footprint`` maps the
     ids of the core and of each subterm it checks to their footprint
-    getters (the program holds the core, so the ids stay unique),
-    ``compiled`` maps the name of each module whose rules compile to its
-    :class:`~tracelang.modules.CompiledModule`, and ``diagnostics`` lists
-    what is wrong with the program; it is valid iff that is empty."""
+    getters (the program holds the core, so the ids stay unique), and
+    ``compiled`` maps the name of each module to its
+    :class:`~tracelang.modules.CompiledModule`."""
 
     vocabulary: Vocabulary
     modules: dict[str, ModuleDef]
@@ -143,10 +115,9 @@ class Program:
     check_depth: int = field(**_COMPILED)
     footprint: dict = field(**_COMPILED)
     compiled: dict = field(**_COMPILED)
-    diagnostics: tuple = field(**_COMPILED)
 
     def __post_init__(self):
-        names = ("core", "check_depth", "footprint", "compiled", "diagnostics")
+        names = ("core", "check_depth", "footprint", "compiled")
         for name, value in zip(names, _compile(self)):
             object.__setattr__(self, name, value)
 
@@ -400,11 +371,7 @@ def parse_program(text: str, vocabulary: Vocabulary) -> Program:
             raise ParseError(f"expected 'module' or 'term', found {tok.text!r}", tok.line)
     if main is None:
         raise ParseError("program has no term directive")
-    program = Program(vocabulary, modules, main)
-    if program.diagnostics:
-        d = program.diagnostics[0]
-        raise d.error(d.message, d.line)
-    return program
+    return Program(vocabulary, modules, main)
 
 
 @lru_cache(maxsize=1024)
@@ -417,11 +384,13 @@ def _getter(mask: int):
 
 
 def _compile(program: Program) -> tuple:
-    """``(core, check_depth, footprint, compiled, diagnostics)``, see
-    :class:`Program`.
-
-    Each rule body is checked by compiling it (``cq.compile_body``); a
-    module whose rules all compile and write registers gets its record.
+    """``(core, check_depth, footprint, compiled)``, see :class:`Program`,
+    or the first refusal of the program.  The term is desugared first
+    (``desugar`` refuses a term nested past ``MAX_NESTING``); then each rule
+    head must be a register and each rule body compile (``cq.compile_body``),
+    module by module and rule by rule; then the modules the term names must
+    be defined and the symbols its tests name be declared and unary, in
+    sorted order; last, its checks must not nest past ``MAX_NESTING``.
 
     The core is ``main`` desugared, with one law applied: a test sequenced
     with itself is that test, ``p ; p -> p`` (Desharnais, Moeller & Struth,
@@ -436,7 +405,7 @@ def _compile(program: Program) -> tuple:
     The core is walked once, with an explicit stack, once per shared node,
     for its check depth (``~``, ``^`` and the left arm of ``<+`` open one
     more level; the engine recurses once per level, so a depth past
-    ``MAX_NESTING`` is a diagnostic), the registers its modules read in a
+    ``MAX_NESTING`` is refused), the registers its modules read in a
     rule body or write and its tests name, and the past sides of its history
     tests.  The core and each subterm a search checks (the body of ``~`` and
     ``^``, the left arm of ``<+``) get the getters of those registers and of
@@ -450,40 +419,34 @@ def _compile(program: Program) -> tuple:
     vocab, modules = program.vocabulary, program.modules
     index = vocab.register_index
     bit = {x: 1 << i for x, i in index.items()}
-    diags: list[Diagnostic] = []
+    root = T.desugar(program.main)
     compiled = {}
     module_regs = {}
     for name, mod in modules.items():
         reads = writes = 0
         queries = []
         for rule in mod.rules:
-            if rule.head in bit:
-                writes |= bit[rule.head]
-            else:
-                diags.append(
-                    Diagnostic("UnknownSymbol", f"rule head {rule.head} is not a declared register", rule.line)
-                )
+            if rule.head not in bit:
+                raise UnknownSymbolError(f"rule head {rule.head} is not a declared register", rule.line)
+            writes |= bit[rule.head]
             try:
                 query = compile_body(rule.body, vocab)
             except (UnknownSymbolError, ArityError, HeadVarUnusedError) as e:
-                diags.append(Diagnostic(_CODES[type(e)], f"rule {mod.name}.{rule.head}: {e}", rule.line))
-                continue
+                raise type(e)(f"rule {mod.name}.{rule.head}: {e}", rule.line) from None
             queries.append(query)
             for i in query.registers:
                 reads |= 1 << i
         module_regs[name] = reads | writes
         heads = tuple(rule.head for rule in mod.rules)
-        if len(queries) == len(heads) and all(head in bit for head in heads):
-            compiled[name] = CompiledModule(
-                name, heads, tuple(q.answers for q in queries), tuple(q.member for q in queries), _getter(reads)
-            )
+        compiled[name] = CompiledModule(
+            name, heads, tuple(q.answers for q in queries), tuple(q.member for q in queries), _getter(reads)
+        )
     names: set[str] = set()
     symbols: set[str] = set()
     checked: dict[int, tuple] = {}
     # id(node) -> (compiled node, is a test, check depth, registers, past);
     # a node whose parts are not done yet goes back on the stack under them
     done: dict[int, tuple] = {}
-    root = T.desugar(program.main)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -527,41 +490,31 @@ def _compile(program: Program) -> tuple:
         else:
             raise TypeError(f"term is not in core form: {node!r}")
         done[id(node)] = info
+    undefined = names - modules.keys()
+    if undefined:
+        raise UnknownModuleError(f"term references undefined module {min(undefined)}")
+    for sym in sorted(symbols):
+        if not vocab.is_declared(sym):
+            raise UnknownSymbolError(f"test names undeclared symbol {sym}")
+        if not vocab.is_unary(sym):
+            raise NonUnarySymbolError(f"test names non-unary symbol {sym}")
     top = done[id(root)]
+    if top[2] > MAX_NESTING:
+        raise ParseError(f"TooDeep: universal checks nest {top[2]} levels deep, more than {MAX_NESTING}")
     checked[id(top[0])] = top
     footprint = {
         key: (_getter(regs), _getter(past) if past else None)
         for key, (_, _, _, regs, past) in checked.items()
     }
-
-    for name in sorted(names - modules.keys()):
-        diags.append(Diagnostic("UnknownModule", f"term references undefined module {name}"))
-    for sym in sorted(symbols):
-        if not vocab.is_declared(sym):
-            diags.append(Diagnostic("UnknownSymbol", f"test names undeclared symbol {sym}"))
-        elif not vocab.is_unary(sym):
-            diags.append(Diagnostic("NonUnarySymbolInTest", f"test names non-unary symbol {sym}"))
-    if top[2] > MAX_NESTING:
-        diags.append(
-            Diagnostic("TooDeep", f"universal checks nest {top[2]} levels deep, more than {MAX_NESTING}")
-        )
-    return top[0], top[2], footprint, compiled, tuple(diags)
+    return top[0], top[2], footprint, compiled
 
 
-def check_constants(program: Program, domain: tuple[str, ...]) -> list[Diagnostic]:
-    """Diagnostics for element constants not present in the given domain."""
+def check_constants(program: Program, domain: tuple[str, ...]) -> None:
+    """Refuse an element constant of the program that is not in ``domain``."""
     dset = set(domain)
-    diags = []
     for mod in program.modules.values():
         for rule in mod.rules:
             for atom in rule.body.atoms:
                 for arg in atom.args:
                     if isinstance(arg, Const) and arg.value not in dset:
-                        diags.append(
-                            Diagnostic(
-                                "UnknownElement",
-                                f"constant {arg.value!r} is not a domain element",
-                                rule.line,
-                            )
-                        )
-    return diags
+                        raise UnknownSymbolError(f"constant {arg.value!r} is not a domain element", rule.line)

@@ -185,6 +185,23 @@ def test_suite_small_run(capsys):
     assert "even" in out and " 4" in out
 
 
+def test_a_suite_range_that_ends_below_its_start_is_a_usage_exit(capsys):
+    assert main(["suite", "--problem", "st-conn", "--n-range", "5..2"]) == 64
+    assert "range must not end below its start, got '5..2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_a_suite_of_no_trials_is_a_usage_exit(trials, capsys):
+    assert main(["suite", "--problem", "st-conn", "--trials", trials]) == 64
+    assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
+
+
+def test_a_suite_problem_that_generates_no_instance_fails(capsys):
+    # a suite that checked nothing has not agreed with its oracle
+    assert main(["suite", "--problem", "even", "--n-range", "0..0", "--no-timing"]) == 1
+    assert f"{'even':<12} {0:>9}" in capsys.readouterr().out
+
+
 def test_the_default_suite_agrees_on_every_problem(capsys):
     assert main(["suite", "--no-timing"]) == 0
     out = capsys.readouterr().out

@@ -1118,9 +1118,10 @@ def test_programs_past_the_nesting_bound_are_rejected():
         text = f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}"
         with pytest.raises(ParseError):
             near_the_default_limit(lambda: _program(text, s))
-    # a Program built directly is compiled the same way, and refused by a
-    # run, a replay and a check: no check depth is configured, so the TooDeep
-    # diagnostic is what keeps it from recursing past the limit.  The checks
+    # a Program built directly is compiled the same way, and refused while
+    # it is built, as are the terms a check compiles with a program's
+    # modules: no check depth is configured, so that refusal is what keeps a
+    # run, a replay or a check from recursing past the limit.  The checks
     # here nest one level deeper than the terms do (a term nested past the
     # bound is refused while it is built, see the next test).
     cfg, start = _cfg(guess, s), Trace.initial(s)
@@ -1131,15 +1132,12 @@ def test_programs_past_the_nesting_bound_are_rejected():
     for _ in range(deep):
         union = T.PrefUnion(union, T.ModuleRef("GuessP"))
     for main in (anti, union):
-        prog = Program(s.vocabulary, guess.modules, main)
-        assert prog.check_depth == deep and prog.diagnostics
         for call in (
-            lambda: run_main_task(prog, s),
-            lambda: Evaluator(prog, s, cfg).replay(Witness((), 1)),
+            lambda: Program(s.vocabulary, guess.modules, main),
             lambda: eval_deltas(guess, main, start, cfg),
             lambda: holds_antidomain(guess, main, start, cfg),
         ):
-            with pytest.raises(TraceLangError, match="TooDeep"):
+            with pytest.raises(ParseError, match=f"TooDeep: universal checks nest {deep} levels deep"):
                 near_the_default_limit(call)
 
 
@@ -1175,7 +1173,13 @@ def test_a_term_built_past_the_nesting_bound_is_refused_while_it_is_built():
         lambda t: T.PrefUnion(g, T.Seq(g, T.If(t, T.Id(), T.Id()))),
     ]
     for wrap in shapes:
-        build(nested(wrap, MAX_NESTING))
+        # within the text bound, a shape whose checks nest deeper than its
+        # text (``test(t)`` is ``~~t``, an ``if`` checks its condition) is
+        # refused for its checks alone
+        try:
+            build(nested(wrap, MAX_NESTING))
+        except ParseError as e:
+            assert str(e).startswith("TooDeep: universal checks nest"), e
         with pytest.raises(ParseError, match="TooDeep"):
             build(nested(wrap, 2000))
     # the same bound as for text: ~ nested 100 deep builds, 101 deep does not

@@ -6,11 +6,13 @@ from tracelang import terms as T
 from tracelang.engine import SearchConfig, Trace, eval_deltas
 from tracelang.lab import (
     UNKNOWN,
+    DeltaSet,
     before_after_equivalent,
     denotational_deltas,
     is_defined,
     strongly_equivalent,
 )
+from tracelang.modules import Choice
 from tracelang.parser import MAX_NESTING, parse_program, parse_term
 from tracelang.problems import (
     ProblemId,
@@ -41,6 +43,18 @@ def test_denotational_id_and_antidomain():
     assert denotational_deltas(prog, T.AntiDomain(dead), base, cfg).extensions == {base}
 
 
+def test_a_delta_set_holds_only_extensions_of_its_base():
+    s = structure_of(("a", "b"), registers=("P", "R"))
+    start = Trace.initial(s)
+    at_a, at_b = (start.extend(Choice("GuessP", (("P", v),))) for v in ("a", "b"))
+    longer = at_a.extend(Choice("GuessP", (("P", "b"),)))
+    assert DeltaSet(at_a, frozenset((at_a, longer))).extensions == {at_a, longer}
+    # another base of the same length, and a trace shorter than the base
+    for base, ext in ((at_b, longer), (at_a, start)):
+        with pytest.raises(ValueError, match="extension does not extend its base"):
+            DeltaSet(base, frozenset((ext,)))
+
+
 def test_is_defined_examples():
     s, prog, cfg = _setup()
     base = Trace.initial(s)
@@ -50,20 +64,21 @@ def test_is_defined_examples():
 
 
 def test_a_module_that_does_not_compile_is_refused():
-    # a program built directly can name an undefined module, or one with a
-    # rule that does not compile; the lab refuses both as bad input
+    # a program with a rule that does not compile cannot be built; a lab
+    # query term can still name a module the program lacks, and the lab
+    # refuses it as bad input
     from tracelang.cq import Atom, CQBody
-    from tracelang.errors import TraceLangError
+    from tracelang.errors import UnknownModuleError, UnknownSymbolError
     from tracelang.modules import ModuleDef, Rule
     from tracelang.parser import Program
 
     s = structure_of(("a", "b"), registers=("P",))
     bad = ModuleDef("Bad", (Rule("P", CQBody("x", (Atom("Nope", ("x",)),))),))
-    prog = Program(s.vocabulary, {"Bad": bad}, T.ModuleRef("Bad"))
-    assert prog.diagnostics
-    for name in ("Bad", "Ghost"):
-        with pytest.raises(TraceLangError):
-            is_defined(prog, T.ModuleRef(name), Trace.initial(s), SearchConfig())
+    with pytest.raises(UnknownSymbolError):
+        Program(s.vocabulary, {"Bad": bad}, T.ModuleRef("Bad"))
+    prog = Program(s.vocabulary, {}, T.Id())
+    with pytest.raises(UnknownModuleError):
+        is_defined(prog, T.ModuleRef("Ghost"), Trace.initial(s), SearchConfig())
 
 
 def test_strong_equivalence_examples():

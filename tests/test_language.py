@@ -165,19 +165,18 @@ def test_program_diagnostics():
     from tracelang.cq import Atom, CQBody
     from tracelang.parser import Program
 
-    # ModuleDef refuses a duplicate rule head; a program built directly
-    # carries every other diagnostic
-    prog = Program(
-        VOCAB,
-        {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))},
-        T.BackGlobal("P", "Nope"),
-    )
-    codes = {d.code for d in prog.diagnostics}
-    assert "UnknownSymbol" in codes
-
-    prog2 = Program(VOCAB, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
-    codes2 = {d.code for d in prog2.diagnostics}
-    assert {"UnknownModule", "NonUnarySymbolInTest"} <= codes2
+    # ModuleDef refuses a duplicate rule head; building a program refuses
+    # everything else that is wrong with it
+    with pytest.raises(UnknownSymbolError):
+        Program(
+            VOCAB,
+            {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))},
+            T.BackGlobal("P", "Nope"),
+        )
+    with pytest.raises(UnknownModuleError):
+        Program(VOCAB, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
+    with pytest.raises(NonUnarySymbolError):
+        Program(VOCAB, {}, T.EqTest("P", "T"))
 
 
 @pytest.mark.parametrize(
@@ -208,7 +207,7 @@ def test_bundled_programs_validate():
     for pid in ProblemId:
         inst = build_instance(pid)
         program = build_program(pid, inst.vocabulary)
-        assert program.diagnostics == ()
+        assert program.compiled.keys() == program.modules.keys()
 
 
 def test_multiline_terms_and_comments_parse():
@@ -233,7 +232,7 @@ def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
         modules = random_modules(rng)
         main = random_surface_term(rng, rng.randint(2, 4), sorted(modules), ("P", "Q", "U"), max_pow=6)
         prog = Program(s.vocabulary, modules, main)
-        assert prog.diagnostics == ()
+        assert prog.compiled.keys() == prog.modules.keys()
         folded += prog.core != desugar(prog.main)
         cfg = SearchConfig(k=2, max_trace_length=5)
         base = Trace.initial(s)
@@ -257,28 +256,46 @@ def test_a_huge_pow_compiles_to_a_log_size_core():
 
 
 def test_a_run_refuses_a_directly_built_program_as_a_parse_refuses_its_text():
+    # there is no invalid program for a run to refuse: building one from
+    # parts raises what parsing its text raises, class and message
     from tracelang.cq import Atom, CQBody
     from tracelang.modules import ModuleDef, Rule
     from tracelang.parser import MAX_NESTING
 
-    s = structure_of(("a",), registers=("P", "Q", "Reach"), arities={"T": 2, "U": 1})
-    guess = {"M": ModuleDef("M", (Rule("P", CQBody("x", (Atom("adom", ("x",)),))),))}
-    # one arm more than the checks may nest: each left arm is checked
+    def module(head, *atoms):  # module M, its one rule on line 1 as in the text
+        body = CQBody("x", tuple(Atom(symbol, args) for symbol, args in atoms))
+        return {"M": ModuleDef("M", (Rule(head, body, line=1),))}
+
+    guess = module("P", ("adom", ("x",)))
+    # one level more than the checks may nest: each left arm of a union and
+    # each iterated body is checked
     arms = " <+ ".join(["M"] * (MAX_NESTING + 2))
-    for modules, term, text, error in (
-        ({}, "Ghost", "term: Ghost", UnknownModuleError),
-        (guess, arms, f"module M {{ P(x) <~ adom(x) }}\nterm: {arms}", ParseError),
-    ):
+    hats = "M" + "^" * (MAX_NESTING + 1)
+    cases = [
+        ({}, "Ghost", UnknownModuleError, ""),
+        (module("Nope", ("adom", ("x",))), "M", UnknownSymbolError, "Nope(x) <~ adom(x)"),
+        (module("P", ("Undeclared", ("x",))), "M", UnknownSymbolError, "P(x) <~ Undeclared(x)"),
+        (module("P", ("adom", ("y",))), "M", HeadVarUnusedError, "P(x) <~ adom(y)"),
+        (module("P", ("T", ("x",))), "M", ArityError, "P(x) <~ T(x)"),
+        (guess, "M ; P == Nope", UnknownSymbolError, "P(x) <~ adom(x)"),
+        (guess, "M ; BG(P != T)", NonUnarySymbolError, "P(x) <~ adom(x)"),
+        (guess, arms, ParseError, "P(x) <~ adom(x)"),
+        (guess, hats, ParseError, "P(x) <~ adom(x)"),
+    ]
+    for modules, term, error, rule in cases:
+        text = (f"module M {{ {rule} }}\n" if rule else "") + f"term: {term}"
         with pytest.raises(error) as parsed:
             parse_program(text, VOCAB)
-        with pytest.raises(error) as ran:
-            run_main_task(Program(s.vocabulary, modules, parse_term(term)), s)
-        assert type(parsed.value) is type(ran.value) is error
+        with pytest.raises(error) as built:
+            Program(VOCAB, modules, parse_term(term))
+        assert type(parsed.value) is type(built.value) is error, text
+        assert str(parsed.value) == str(built.value), text
 
 
 def test_an_invalid_program_built_directly_fails_its_run():
     s = structure_of(("a",), registers=("P", "Q", "Reach"), arities={"T": 2, "U": 1})
-    prog = Program(s.vocabulary, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
-    assert [d.code for d in prog.diagnostics] == ["UnknownModule", "NonUnarySymbolInTest"]
+    # the first refusal is raised: the undefined module, then the test
     with pytest.raises(UnknownModuleError):
-        run_main_task(prog, s)
+        Program(s.vocabulary, {}, T.Seq(T.ModuleRef("Ghost"), T.EqTest("P", "T")))
+    with pytest.raises(NonUnarySymbolError):
+        Program(s.vocabulary, {}, T.EqTest("P", "T"))

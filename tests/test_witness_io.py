@@ -165,4 +165,4 @@ def test_a_certificate_of_a_program_a_run_refuses_is_invalid():
         "final_length": 2,
     }
     ok, reason = verify_witness_file(program, STRUCTURE, json.dumps(doc))
-    assert not ok and "UnknownElement" in reason
+    assert not ok and "constant 'zz' is not a domain element" in reason
