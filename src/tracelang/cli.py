@@ -273,9 +273,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run bundled problems against their oracles")
     suite.add_argument("--problem", default="all")
-    suite.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
-    suite.add_argument("--trials", type=_at_least(1, "trials", "at least 1"), default=20)
-    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument(
+        "--n-range", type=_parse_range, default=None, metavar="A..B",
+        help="instance sizes; even and size-four run each n once, mod2-lineq caps systems at 3 variables",
+    )
+    suite.add_argument(
+        "--trials", type=_at_least(1, "trials", "at least 1"), default=20,
+        help="instances per problem (ignored by even and size-four)",
+    )
+    suite.add_argument("--seed", type=int, default=0, help="instance seed (ignored by even and size-four)")
     suite.add_argument("--k", type=_exponent, default=2)
     suite.add_argument("--no-timing", action="store_true")
     suite.set_defaults(func=cmd_suite)

@@ -33,13 +33,15 @@ search and then enumerate it again: it runs the arm once, in line, under a
 scope that records whether the arm succeeded or hit a bound, goes on with
 the union's continuation at each success, and turns to the right arm only
 when the arm's search was complete and found nothing.  Its answer is tabled
-like a check's, so a known answer still skips the search.  Replay still
-checks union arms with ``exists``.
+like a check's, so a known answer still skips the search.
 
 A successful search yields a witness: the ordered list of module choices
 along the accepting trace.  Replaying a witness re-runs the term with every
 guess dictated by the certificate, so the derivation is deterministic and
-needs no backtracking.
+needs no backtracking.  Replay proves a true union arm or iterate step by
+replaying it from the certificate, since a replay that succeeds is a run;
+only where that replay fails does it ask ``exists``, so only a false arm or
+step, or a certificate that does not replay, is searched.
 
 An :class:`Evaluator` is built for one program, one input and one bound
 configuration; its caches and exists table hold for that input alone.
@@ -640,11 +642,13 @@ class Evaluator:
         ``ChoiceMismatchError`` when the certificate does not replay.
 
         Every guess is dictated by the certificate; at each point exactly one
-        rule applies, so no search over choices happens.  Universal checks
-        (anti-domain, union arms, iterate exits) are re-established by the
-        same bounded procedure the search uses.  Replay's Python stack depth
-        does not grow with the length of a sequence chain: a ``pow(t, j)``
-        certificate replays at the same depth for every ``j``.
+        rule applies, so no search over choices happens.  A union's left arm
+        and an iterate's step are replayed first, and checked by the same
+        bounded procedure the search uses only when that replay fails; every
+        anti-domain test is checked so.  Replay's Python stack depth grows
+        with the nesting of left arms and iterates, which the program bounds,
+        not with the length of a sequence chain: a ``pow(t, j)`` certificate
+        replays at the same depth for every ``j``.
 
         A failure's message starts with ``at choice i:``, where ``i`` is the
         number of choices replayed before it (the index of the failing one).
@@ -670,7 +674,8 @@ class Evaluator:
         # long a ``Seq`` chain (e.g. a desugared ``pow``) is.
         work = [term]
         while work:
-            match work.pop():
+            node = work.pop()
+            match node:
                 case T.Id():
                     pass
                 case T.ModuleRef(name):
@@ -693,32 +698,46 @@ class Evaluator:
                             "anti-domain test fails" if r else "anti-domain check inconclusive"
                         )
                 case T.PrefUnion(a, b):
-                    r = self.exists(a, trace)
-                    if r is None:
-                        raise ChoiceMismatchError("union arm check inconclusive")
-                    work.append(a if r else b)
+                    after = self._replay_if_true(a, trace, chooser, "union arm check inconclusive")
+                    if after is None:
+                        work.append(b)
+                    else:
+                        trace = after
                 case T.MaxIterate(a):
                     seen = {trace.last}
-                    while True:
-                        r = self.exists(a, trace)
-                        if r is False:
-                            break
-                        if r is None:
-                            raise ChoiceMismatchError("iterate exit check inconclusive")
-                        trace = self._replay(a, trace, chooser)
-                        key = trace.last
-                        if key in seen:
+                    inconclusive = "iterate exit check inconclusive"
+                    while (after := self._replay_if_true(a, trace, chooser, inconclusive)) is not None:
+                        trace = after
+                        if trace.last in seen:
                             raise ChoiceMismatchError("iterate revisits a milestone valuation")
-                        seen.add(key)
+                        seen.add(trace.last)
                 case T.EqTest(p, q):
-                    if not check_eq(p, q, trace):
+                    if not self._test(node, trace):
                         raise ChoiceMismatchError(f"equality test {p} == {q} fails")
                 case T.BackGlobal(p, q):
-                    if not check_bg(p, q, trace):
+                    if not self._test(node, trace):
                         raise ChoiceMismatchError(f"history test BG({p} != {q}) fails")
                 case other:
                     raise TypeError(f"term is not in core form: {other!r}")
         return trace
+
+    def _replay_if_true(self, a: T.Term, trace: Trace, chooser: _Chooser, inconclusive: str):
+        """The trace after ``a`` replayed from the certificate, or ``None``
+        where no run of ``a`` exists.  A replay that succeeds is a run, so
+        only a failed one asks ``exists``; if a run exists after all, the
+        derivation must take ``a``, and the replay's own failure stands."""
+        pos = chooser.pos
+        try:
+            return self._replay(a, trace, chooser)
+        except ChoiceMismatchError:
+            failed, chooser.pos = chooser.pos, pos
+            r = self.exists(a, trace)
+            if r is None:
+                raise ChoiceMismatchError(inconclusive) from None
+            if r:
+                chooser.pos = failed
+                raise
+            return None
 
 
 def _check_input(program: Program, input_structure: Structure) -> None:

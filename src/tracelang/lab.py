@@ -100,6 +100,7 @@ class _Deno:
         # per object.  The key of a leaf is the leaf; of an inner node, its
         # class and the ids of its parts' canonical nodes.  ``desugared``
         # keeps every walked object alive, so that ``canon``'s ids stay theirs.
+        # A module the program lacks is refused here, before any evaluation.
         desugared = [T.desugar(t) for t in terms]
         table: dict = {}
         canon: dict[int, T.Term] = {}  # id(walked node) -> canonical node
@@ -125,6 +126,8 @@ class _Deno:
                     continue
                 key, kids, fresh = (cls, id(a)), (a,), a is not node.term
             elif cls in _LEAVES:
+                if cls is T.ModuleRef and node.name not in program.compiled:
+                    raise UnknownModuleError(f"term references undefined module {node.name}")
                 key, kids, fresh = node, (), False
             else:
                 raise TypeError(f"term is not in core form: {node!r}")
@@ -211,10 +214,7 @@ class _Deno:
         key = (id(s), name, r)
         cached = self.steps.get(key)
         if cached is None:
-            module = self.program.compiled.get(name)
-            if module is None:  # a query term can name a module the program lacks
-                raise UnknownModuleError(f"module {name} is undefined")
-            cached = self.steps[key] = successor_choices(module, s, r), s
+            cached = self.steps[key] = successor_choices(self.program.compiled[name], s, r), s
         steps = cached[0]
         budget = self.cfg.node_budget
         if budget is not None and self.built + len(steps) > budget:

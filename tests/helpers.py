@@ -3,7 +3,9 @@
 The naive CQ evaluator enumerates all assignments outright and is the oracle
 for the backtracking join.  The random generators produce small vocabularies,
 structures, modules and core terms for cross-checking the search engine
-against the denotational semantics.
+against the denotational semantics.  The reference replay decides every
+union arm and iterate unfolding with ``exists`` before it replays it, and is
+the oracle for the engine's replay, which asks only where replaying fails.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from typing import Sequence
+from typing import Optional, Sequence
 
 from tracelang.cq import Atom, CQBody, Const
-from tracelang.modules import ModuleDef, Rule
+from tracelang.engine import Evaluator, Trace, Witness, _Chooser, check_bg, check_eq
+from tracelang.errors import ChoiceMismatchError
+from tracelang.modules import ModuleDef, Rule, check_choice
 from tracelang.parser import Program
 from tracelang.structures import ADOM, Structure, Vocabulary, blank_registers
 from tracelang import terms as T
@@ -44,6 +48,76 @@ def naive_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
         if ok:
             answers.add(env[body.head_var])
     return frozenset(answers)
+
+
+def reference_replay_failure(ev: Evaluator, witness: Witness) -> Optional[str]:
+    """What ``engine.replay_failure`` answers for ``witness`` on the
+    program and input of ``ev``, from a replay that decides each union arm
+    and each iterate unfolding with ``ev.exists`` first and then replays the
+    arm or step it chose.  ``ev`` counts its nodes and checks."""
+    chooser = _Chooser(witness.choices)
+    try:
+        if witness.final_length != 1 + len(witness.choices):
+            raise ChoiceMismatchError("final_length does not match the number of choices")
+        if witness.final_length > ev.cfg.max_trace_length:
+            raise ChoiceMismatchError("certificate exceeds the configured length bound")
+        _reference_replay(ev, ev.program.core, Trace.initial(ev.input), chooser)
+        if not chooser.exhausted():
+            raise ChoiceMismatchError("certificate has more choices than the derivation uses")
+    except ChoiceMismatchError as e:
+        return f"at choice {chooser.pos}: {e}"
+    return None
+
+
+def _reference_replay(ev: Evaluator, term: T.Term, trace: Trace, chooser: _Chooser) -> Trace:
+    work = [term]
+    while work:
+        match work.pop():
+            case T.Id():
+                pass
+            case T.ModuleRef(name):
+                choice = chooser.peek()
+                if choice.module != name:
+                    raise ChoiceMismatchError(
+                        f"certificate names module {choice.module}, derivation needs {name}"
+                    )
+                check_choice(ev.program.compiled[name], trace.input, trace.last, choice)
+                chooser.pos += 1
+                ev.nodes += 1
+                trace = trace.extend(choice)
+            case T.Seq(a, b):
+                work.append(b)
+                work.append(a)
+            case T.AntiDomain(a):
+                r = ev.exists(a, trace)
+                if r is not False:
+                    raise ChoiceMismatchError(
+                        "anti-domain test fails" if r else "anti-domain check inconclusive"
+                    )
+            case T.PrefUnion(a, b):
+                r = ev.exists(a, trace)
+                if r is None:
+                    raise ChoiceMismatchError("union arm check inconclusive")
+                work.append(a if r else b)
+            case T.MaxIterate(a):
+                seen = {trace.last}
+                while True:
+                    r = ev.exists(a, trace)
+                    if r is False:
+                        break
+                    if r is None:
+                        raise ChoiceMismatchError("iterate exit check inconclusive")
+                    trace = _reference_replay(ev, a, trace, chooser)
+                    if trace.last in seen:
+                        raise ChoiceMismatchError("iterate revisits a milestone valuation")
+                    seen.add(trace.last)
+            case T.EqTest(p, q):
+                if not check_eq(p, q, trace):
+                    raise ChoiceMismatchError(f"equality test {p} == {q} fails")
+            case T.BackGlobal(p, q):
+                if not check_bg(p, q, trace):
+                    raise ChoiceMismatchError(f"history test BG({p} != {q}) fails")
+    return trace
 
 
 def compiled(module: ModuleDef, vocabulary: Vocabulary):

@@ -289,3 +289,16 @@ def test_equiv_on_a_long_written_out_chain_is_unknown(tmp_path, capsys):
     argv = ["equiv", "--program", str(program), "--structure", str(structure)]
     assert main(argv + ["--left", " ; ".join(["GuessP"] * 1500), "--right", "GuessP"]) == 2
     assert capsys.readouterr().out.startswith("Unknown ")
+
+
+def test_equiv_refuses_a_term_that_names_a_missing_module(tmp_path, capsys):
+    # the lab refuses the module before it evaluates anything, so a left
+    # arm that fails first does not hide it
+    program = tmp_path / "guess.program"
+    program.write_text("module GuessP { P(x) <~ adom(x) }\nterm: GuessP\n")
+    structure = tmp_path / "ab.structure"
+    structure.write_text("domain a b\nreg P\n")
+    argv = ["equiv", "--program", str(program), "--structure", str(structure)]
+    assert main(argv + ["--left", "fail ; Ghost", "--right", "fail"]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: term references undefined module Ghost\n"

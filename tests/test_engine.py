@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from tracelang import engine, terms as T
 from tracelang.cq import Atom, CQBody
@@ -17,6 +18,7 @@ from tracelang.engine import (
     enumerate_witnesses,
     eval_deltas,
     holds_antidomain,
+    replay_failure,
     run_main_task,
     verify_witness,
     witness_length,
@@ -33,6 +35,7 @@ from helpers import (
     random_modules,
     random_program,
     random_structure,
+    reference_replay_failure,
     structure_of,
 )
 
@@ -1215,3 +1218,149 @@ def test_a_long_written_out_chain_builds_and_decides_at_the_default_limit():
         verdict = near_the_default_limit(lambda: run_main_task(prog, s, cfg))
         assert verdict.kind == "yes" and verdict.nodes == 1500
         assert near_the_default_limit(lambda: verify_witness(prog, s, verdict.witness, cfg))
+
+
+# --- replay proves a true check by replaying it ------------------------------
+
+
+def _certificate_mutants(rng, witness, prog, s):
+    """Single-field mutants of ``witness``: its final length, one choice's
+    module or one assigned element, a dropped choice or an extra one."""
+    choices, n = witness.choices, witness.final_length
+    out = [Witness(choices, n + rng.choice((-1, 1)))]
+    if choices:
+        i = rng.randrange(len(choices))
+        c = choices[i]
+        module = rng.choice(sorted(set(prog.modules) - {c.module}) or ["Ghost"])
+        j = rng.randrange(len(c.assignment))
+        reg, value = c.assignment[j]
+        element = rng.choice([e for e in s.domain if e != value] or [value])
+        assignment = c.assignment[:j] + ((reg, element),) + c.assignment[j + 1 :]
+        out += [
+            Witness(choices[:i] + (Choice(module, c.assignment),) + choices[i + 1 :], n),
+            Witness(choices[:i] + (Choice(c.module, assignment),) + choices[i + 1 :], n),
+            Witness(choices[:i] + choices[i + 1 :], n - 1),
+            Witness(choices[:i] + (rng.choice(choices),) + choices[i:], n + 1),
+        ]
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(strategies.integers(0, 2**32 - 1))
+def test_replay_fails_exactly_as_the_exists_first_reference(seed):
+    # Replay proves a true union arm or iterate step by replaying it, and
+    # searches only where that replay fails; the reference searches every
+    # arm and step first.  On every witness and mutant, under the bound the
+    # witness was found with and under one it just fits, both give the same
+    # answer, reason and choice index included.
+    rng = random.Random(seed)
+    s = random_structure(rng)
+    if rng.random() < 0.5:
+        prog = random_program(rng, s, depth=rng.randint(2, 5))
+    else:
+        modules = random_modules(rng)
+        prog = Program(s.vocabulary, modules, _union_term(rng, sorted(modules), 4))
+    cfg = SearchConfig(k=2, max_trace_length=rng.randint(2, 6), witness_limit=4)
+    for witness in enumerate_witnesses(prog, s, cfg):
+        # a length bound the witness just fits leaves some checks inconclusive
+        tight = dataclasses.replace(cfg, max_trace_length=witness.final_length)
+        for w in [witness] + _certificate_mutants(rng, witness, prog, s):
+            for c in (cfg, tight):
+                assert replay_failure(prog, s, w, c) == reference_replay_failure(Evaluator(prog, s, c), w)
+
+
+def _top_level_checks(ev):
+    """Record on ``ev`` each check it asks ``exists`` outside any other
+    check, as ``(term, answer)`` pairs, in a list returned."""
+    asked, real, depth = [], ev.exists, [0]
+
+    def exists(term, trace):
+        depth[0] += 1
+        try:
+            r = real(term, trace)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            asked.append((term, r))
+        return r
+
+    ev.exists = exists
+    return asked
+
+
+def _arms_and_steps(core):
+    """The ids of the left arms of unions and the bodies of iterates in
+    ``core``: the checks replay proves by replaying them."""
+    ids, work = set(), [core]
+    while work:
+        t = work.pop()
+        if type(t) in (T.Seq, T.PrefUnion):
+            work += (t.left, t.right)
+            if type(t) is T.PrefUnion:
+                ids.add(id(t.left))
+        elif type(t) in (T.AntiDomain, T.MaxIterate):
+            work.append(t.term)
+            if type(t) is T.MaxIterate:
+                ids.add(id(t.term))
+    return ids
+
+
+def test_replay_searches_no_true_arm_or_step_of_a_valid_certificate():
+    # st-conn on a 100-node path (199 choices) and a 10-variable mod-2
+    # system: replay asks no union arm or iterate step that answers True,
+    # where the reference asks every one; st-conn replays one node per
+    # choice.  Pinned: (nodes, exists calls) of replay, then the reference.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance, make_st_instance
+
+    path = make_st_instance(100, [(i, i + 1) for i in range(99)], 0, 99)
+    st_conn = build_program(ProblemId.ST_CONNECTIVITY, path.vocabulary)
+    rng = random.Random(5)
+    value = [rng.randrange(2) for _ in range(10)]
+    equations = []
+    for _ in range(14):
+        i, j, k = sorted(rng.sample(range(10), 3))
+        equations.append((i, j, k, (value[i] + value[j] + value[k]) % 2))
+    system = make_mod2_instance(10, equations)
+    mod2 = build_program(ProblemId.MOD2_LINEAR, system.vocabulary)
+    record = (("RecordFalse", "FalseRec"), ("RecordTrue", "TrueRec"))
+    choices = tuple(
+        c
+        for v, bit in enumerate(value)
+        for c in (
+            Choice("PickVar", (("Var", f"v{v + 1}"), ("Val", f"b{bit}"))),
+            Choice(record[bit][0], ((record[bit][1], f"v{v + 1}"),)),
+        )
+    )
+    for prog, s, witness, expected in (
+        (st_conn, path, run_main_task(st_conn, path).witness, (199, 103, 395, 297)),
+        (mod2, system, Witness(choices, 21), (71, 12, 186, 27)),
+    ):
+        cfg = _cfg(prog, s)
+        ev, ref = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)
+        asked, ref_asked = _top_level_checks(ev), _top_level_checks(ref)
+        ev.replay(witness)
+        assert reference_replay_failure(ref, witness) is None
+        proved = _arms_and_steps(prog.core)
+        assert not [t for t, r in asked if r and id(t) in proved]
+        assert [t for t, r in ref_asked if r and id(t) in proved]
+        assert (ev.nodes, ev.exists_calls, ref.nodes, ref.exists_calls) == expected
+        if prog is st_conn:
+            assert ev.nodes == len(witness.choices) == 199
+
+
+def test_replay_into_unions_nested_to_the_bound_at_the_default_limit():
+    # Replay recurses into the left arm of a union; unions nested to the
+    # bound replay a valid certificate and a mutant whose failure every
+    # arm re-raises, from 200 frames deep at the default limit.
+    s = structure_of(("a", "b"), {"Q": {("a",)}}, registers=("P",))
+    arm = "GuessP ; P == Q"
+    term = arm
+    for _ in range(MAX_NESTING):
+        term = f"({term}) <+ ({arm})"
+    prog = _program(f"module GuessP {{ P(x) <~ adom(x) }}\nterm: {term}", s)
+    assert prog.check_depth == MAX_NESTING
+    cfg = _cfg(prog, s)
+    for element, reason in (("a", None), ("b", "at choice 1: equality test P == Q fails")):
+        w = Witness((Choice("GuessP", (("P", element),)),), 2)
+        assert near_the_default_limit(lambda: replay_failure(prog, s, w, cfg)) == reason
+        assert reference_replay_failure(Evaluator(prog, s, cfg), w) == reason

@@ -66,7 +66,8 @@ def test_is_defined_examples():
 def test_a_module_that_does_not_compile_is_refused():
     # a program with a rule that does not compile cannot be built; a lab
     # query term can still name a module the program lacks, and the lab
-    # refuses it as bad input
+    # refuses it as bad input before it evaluates anything, as eval_deltas
+    # does, even where evaluation would never reach the module
     from tracelang.cq import Atom, CQBody
     from tracelang.errors import UnknownModuleError, UnknownSymbolError
     from tracelang.modules import ModuleDef, Rule
@@ -77,8 +78,15 @@ def test_a_module_that_does_not_compile_is_refused():
     with pytest.raises(UnknownSymbolError):
         Program(s.vocabulary, {"Bad": bad}, T.ModuleRef("Bad"))
     prog = Program(s.vocabulary, {}, T.Id())
-    with pytest.raises(UnknownModuleError):
-        is_defined(prog, T.ModuleRef("Ghost"), Trace.initial(s), SearchConfig())
+    base, cfg = Trace.initial(s), SearchConfig()
+    for ghost in (T.ModuleRef("Ghost"), T.Seq(T.Fail(), T.ModuleRef("Ghost"))):
+        for query in (
+            lambda: is_defined(prog, ghost, base, cfg),
+            lambda: strongly_equivalent(prog, ghost, T.Fail(), [base], cfg),
+            lambda: eval_deltas(prog, ghost, base, cfg),
+        ):
+            with pytest.raises(UnknownModuleError, match="^term references undefined module Ghost$"):
+                query()
 
 
 def test_strong_equivalence_examples():
