@@ -13,8 +13,8 @@ only with the nesting of universal checks.  The program fixes that nesting,
 and the compile step refuses it past ``parser.MAX_NESTING``, so no check
 depth is configured or tracked and the engine runs at the caller's
 recursion limit.  The compile step gives every ``==`` and ``BG`` test of
-the core the positions of its register sides, so a test reads registers by
-position; only an EDB side, or a test from outside the program, is looked
+the core the positions of its register sides, and an evaluator binds each
+unary EDB symbol's value when it is built, so no ``==`` test looks a symbol
 up by name.  ``Trace.extend`` applies a module choice to the last letter
 and updates the history of only the registers that choice wrote.
 
@@ -43,8 +43,8 @@ replaying it from the certificate, since a replay that succeeds is a run;
 only where that replay fails does it ask ``exists``, so only a false arm or
 step, or a certificate that does not replay, is searched.
 
-An :class:`Evaluator` is built for one program, one input and one bound
-configuration; its caches and exists table hold for that input alone.
+An :class:`Evaluator` runs the core of one program on one input under one
+bound configuration; its caches and exists table hold for that input alone.
 """
 
 from __future__ import annotations
@@ -287,7 +287,6 @@ class Verdict:
     kind: str  # 'yes' | 'no' | 'bound-exceeded'
     witness: Optional[Witness]
     nodes: int
-    trace: Optional[Trace] = None
     exists_calls: int = 0
     table_hits: int = 0
 
@@ -324,7 +323,7 @@ class _Else:
     """A preferential union whose left arm is searched in line: the scope
     of that search, and the entry pushed under its steps that goes on with
     the ``right`` arm if it found nothing.  ``k`` and ``scope`` are the
-    union's, ``key`` the left arm's table key (``None``: untabled)."""
+    union's, ``key`` the left arm's table key."""
 
     __slots__ = ("right", "k", "scope", "key", "hit", "found")
 
@@ -360,12 +359,12 @@ class _Chooser:
 
 
 class Evaluator:
-    """Evaluates core terms of one program on one input under one bound
-    configuration.  It refuses an input the program cannot run on (see
-    ``_check_input``) when it is built; every trace it is given starts at that
-    input.  Search, checks and replay each add a few Python frames per
-    nested universal check and none per sequence step, iterate unfolding or
-    letter.
+    """Evaluates the core of one program, and the subterms of it that a
+    search checks, on one input under one bound configuration.  It refuses
+    an input the program cannot run on (see ``_check_input``) when it is
+    built; every trace it is given starts at that input.  Search, checks and
+    replay each add a few Python frames per nested universal check and none
+    per sequence step, iterate unfolding or letter.
 
     ``nodes`` counts module steps actually expanded.  ``exists_calls``
     counts the universal checks made through ``exists`` and ``table_hits``
@@ -377,6 +376,9 @@ class Evaluator:
 
     def __init__(self, program: Program, input_structure: Structure, cfg: SearchConfig):
         _check_input(program, input_structure)
+        start = Trace.initial(input_structure)
+        # the value of each unary EDB symbol, fixed for the input
+        self._edb = {n: _value(n, start) for n, arity in program.vocabulary.edb_symbols if arity == 1}
         self.program = program
         self.input = input_structure
         self.cfg = cfg
@@ -452,8 +454,8 @@ class Evaluator:
                         break
                 elif cls is T.EqTest:
                     i, j = node.positions
-                    if (_value(node.left, trace) if i is None else trace.last[i]) != (
-                        _value(node.right, trace) if j is None else trace.last[j]
+                    if (self._edb[node.left] if i is None else trace.last[i]) != (
+                        self._edb[node.right] if j is None else trace.last[j]
                     ):
                         break
                 elif cls is T.PrefUnion:
@@ -463,7 +465,7 @@ class Evaluator:
                     r = self._test(left, trace)
                     if r is _SEARCH:
                         key = self._key(left, trace)
-                        r = self._table.get(key) if key is not None else None
+                        r = self._table.get(key)
                         if r is None:
                             nxt = _Else(node.right, k, scope, key)
                             stack.append((nxt, trace, k, scope))
@@ -474,16 +476,14 @@ class Evaluator:
                 elif node is _FOUND:  # the left arm of ``scope`` succeeded
                     if not scope.found:
                         scope.found = True
-                        if scope.key is not None:
-                            self._table[scope.key] = True
+                        self._table[scope.key] = True
                     scope = scope.scope
                 elif cls is _Else:  # every step of its left arm is explored
                     if node.hit:
                         scope.hit = True
                     if node.hit or node.found:
                         break
-                    if node.key is not None:
-                        self._table[node.key] = False
+                    self._table[node.key] = False
                     node = node.right
                     continue
                 elif node is _AGAIN or cls is T.MaxIterate:
@@ -520,40 +520,34 @@ class Evaluator:
         The term is first evaluated directly on the trace, which decides it
         unless a module must be expanded.  Otherwise a definite answer (True,
         or False from a complete search) is tabled on the term's footprint
-        from the program's compile step; ``None`` is never stored.  A term
-        from outside the program has no footprint and is searched untabled.
+        from the program's compile step; ``None`` is never stored.
         """
         self.exists_calls += 1
         r = self._test(term, trace)
         if r is not _SEARCH:
             return r
         key = self._key(term, trace)
-        if key is not None:
-            r = self._table.get(key)
-            if r is not None:
-                self.table_hits += 1
-                return r
+        r = self._table.get(key)
+        if r is not None:
+            self.table_hits += 1
+            return r
         sub = _Scope()
         for _ in self.iter_extensions(term, trace, sub):
             r = True
             break
         else:
             r = None if sub.hit else False
-        if r is not None and key is not None:
+        if r is not None:
             self._table[key] = r
         return r
 
-    def _key(self, term: T.Term, trace: Trace) -> Optional[tuple]:
+    def _key(self, term: T.Term, trace: Trace) -> tuple:
         """The table key of the check of ``term`` on ``trace`` (the
         evaluator is bound to its input): its footprint from the program's
-        compile step, or ``None`` for a term from outside the program.
-        Registers outside the footprint stay unchanged and unread along
-        every extension (milestone comparisons included), so the answer
-        depends only on this key."""
-        fp = self.program.footprint.get(id(term))
-        if fp is None:
-            return None
-        cur, past = fp
+        compile step.  Registers outside the footprint stay unchanged and
+        unread along every extension (milestone comparisons included), so
+        the answer depends only on this key."""
+        cur, past = self.program.footprint[id(term)]
         return (
             id(term),
             cur(trace.last),
@@ -591,8 +585,8 @@ class Evaluator:
                     r = not r
             elif cls is T.EqTest:
                 i, j = t.positions
-                r = (_value(t.left, trace) if i is None else trace.last[i]) == (
-                    _value(t.right, trace) if j is None else trace.last[j]
+                r = (self._edb[t.left] if i is None else trace.last[i]) == (
+                    self._edb[t.right] if j is None else trace.last[j]
                 )
             elif cls is T.ModuleRef:
                 return _SEARCH
@@ -619,7 +613,7 @@ class Evaluator:
         counters = dict(exists_calls=self.exists_calls, table_hits=self.table_hits)
         if result is not None:
             witness = Witness(result.choices, len(result))
-            return Verdict("yes", witness, self.nodes, trace=result, **counters)
+            return Verdict("yes", witness, self.nodes, **counters)
         return Verdict("bound-exceeded" if scope.hit else "no", None, self.nodes, **counters)
 
     def enumerate(self) -> list[Witness]:

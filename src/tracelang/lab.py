@@ -4,7 +4,8 @@
 recursion over eagerly materialized sets of traces.  It is an independent
 second route to the same semantics as the search engine and serves as its
 oracle in tests: it reads a program's modules (``Program.compiled``) and
-nothing else the engine derives.
+nothing else the engine derives.  A query refuses a term as building a
+``Program`` of it would, and evaluates its own plain desugaring.
 
 The equivalence checks implement two notions: trace equivalence (identical
 extension sets on every base) and before-after equivalence (identical
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .engine import SearchConfig, Trace, check_bg, check_eq
-from .errors import UnknownModuleError
+from .errors import TraceLangError
 from .modules import successor_choices
 from .parser import Program
 from . import terms as T
@@ -100,8 +101,15 @@ class _Deno:
         # per object.  The key of a leaf is the leaf; of an inner node, its
         # class and the ids of its parts' canonical nodes.  ``desugared``
         # keeps every walked object alive, so that ``canon``'s ids stay theirs.
-        # A module the program lacks is refused here, before any evaluation.
-        desugared = [T.desugar(t) for t in terms]
+        # A program of a term may be refused only if the term does not
+        # desugar, names a missing module or a symbol outside ``unary``, or
+        # has more than ``MAX_NESTING`` check nodes; then those are built.
+        unary = program.vocabulary.unary_symbols
+        refusable, checks = False, 0
+        try:
+            desugared = [T.desugar(t) for t in terms]
+        except (TraceLangError, ValueError):
+            desugared, refusable = [], True
         table: dict = {}
         canon: dict[int, T.Term] = {}  # id(walked node) -> canonical node
         edges: dict[int, int] = {}  # id(canonical node) -> parent edges
@@ -119,15 +127,21 @@ class _Deno:
                     continue
                 key, kids = (cls, id(a), id(b)), (a, b)
                 fresh = a is not left or b is not right
+                checks += cls is T.PrefUnion
             elif cls is T.AntiDomain or cls is T.MaxIterate:
                 a = canon.get(id(node.term))
                 if a is None:
                     stack += (node, node.term)
                     continue
                 key, kids, fresh = (cls, id(a)), (a,), a is not node.term
+                checks += 1
             elif cls in _LEAVES:
-                if cls is T.ModuleRef and node.name not in program.compiled:
-                    raise UnknownModuleError(f"term references undefined module {node.name}")
+                if cls is T.ModuleRef:
+                    refusable |= node.name not in program.compiled
+                elif cls is T.EqTest:
+                    refusable |= node.left not in unary or node.right not in unary
+                elif cls is T.BackGlobal:
+                    refusable |= node.current not in unary or node.past not in unary
                 key, kids, fresh = node, (), False
             else:
                 raise TypeError(f"term is not in core form: {node!r}")
@@ -137,6 +151,9 @@ class _Deno:
                 for kid in kids:
                     edges[id(kid)] = edges.get(id(kid), 0) + 1
             canon[id(node)] = c
+        if refusable or checks > T.MAX_NESTING:
+            for t in terms:
+                Program(program.vocabulary, program.modules, t)
         self.roots = [canon[id(t)] for t in desugared]
         for root in self.roots:
             edges[id(root)] = edges.get(id(root), 0) + 1

@@ -27,6 +27,7 @@ from typing import Mapping, Optional
 from .errors import (
     ArityError,
     DuplicateSymbolError,
+    NonUnarySymbolError,
     NotABijectionError,
     ParseError,
     UnknownSymbolError,
@@ -50,56 +51,47 @@ def _check_token(tok: str, what: str, line: int | None = None) -> str:
 class Vocabulary:
     """Relational signature: EDB symbols with arities, register names, domain size.
 
-    ``register_index`` maps each register name to its position in
-    ``register_symbols``; it is derived, not a field."""
+    ``register_index`` maps each register to its position, ``arities`` each
+    declared symbol to its arity and ``unary_symbols`` holds those of arity
+    1; all three are derived, not fields."""
 
     edb_symbols: tuple[tuple[str, int], ...]
     register_symbols: tuple[str, ...]
     domain_size: int
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for name, arity in self.edb_symbols:
-            if name in seen:
+        arities: dict[str, int] = {}
+        for name, arity in (*self.edb_symbols, *((r, 1) for r in self.register_symbols)):
+            if name in arities:
                 raise DuplicateSymbolError(f"symbol {name} declared twice")
             if name == ADOM:
                 raise DuplicateSymbolError(f"{ADOM} is reserved and may not be declared")
             if arity < 1:
                 raise ArityError(f"symbol {name} has arity {arity}; must be >= 1")
-            seen.add(name)
-        for name in self.register_symbols:
-            if name in seen:
-                raise DuplicateSymbolError(f"symbol {name} declared twice")
-            if name == ADOM:
-                raise DuplicateSymbolError(f"{ADOM} is reserved and may not be declared")
-            seen.add(name)
+            arities[name] = arity
         if self.domain_size < 0:
             raise ParseError("domain size must be nonnegative")
-        # a plain attribute, not a property: the engine reads it per test
+        # plain attributes, not properties: the engine reads them per test
         object.__setattr__(self, "register_index", {n: i for i, n in enumerate(self.register_symbols)})
+        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "unary_symbols", frozenset(n for n, a in arities.items() if a == 1))
 
     def arity(self, symbol: str) -> int:
         if symbol == ADOM:
             return 1
-        for name, arity in self.edb_symbols:
-            if name == symbol:
-                return arity
-        if symbol in self.register_symbols:
-            return 1
-        raise UnknownSymbolError(f"unknown symbol {symbol}")
+        if symbol not in self.arities:
+            raise UnknownSymbolError(f"unknown symbol {symbol}")
+        return self.arities[symbol]
 
     def is_register(self, symbol: str) -> bool:
-        return symbol in self.register_symbols
-
-    def is_edb(self, symbol: str) -> bool:
-        return any(name == symbol for name, _ in self.edb_symbols)
+        return symbol in self.register_index
 
     def is_declared(self, symbol: str) -> bool:
-        return self.is_register(symbol) or self.is_edb(symbol)
+        return symbol in self.arities
 
     def is_unary(self, symbol: str) -> bool:
         """True for declared symbols of arity 1 (register or unary EDB)."""
-        return self.is_declared(symbol) and self.arity(symbol) == 1
+        return symbol in self.unary_symbols
 
 
 class Structure:
@@ -184,15 +176,10 @@ class Structure:
         cached = self._usets.get(symbol)
         if cached is not None:
             return cached
-        if self.vocabulary.is_edb(symbol):
-            if self.vocabulary.arity(symbol) != 1:
-                from .errors import NonUnarySymbolError
-
-                raise NonUnarySymbolError(f"{symbol} is not unary")
-            value = frozenset(t[0] for t in self.edb[symbol])
-            self._usets[symbol] = value
-            return value
-        raise UnknownSymbolError(f"unknown symbol {symbol}")
+        if self.vocabulary.arity(symbol) != 1:
+            raise NonUnarySymbolError(f"{symbol} is not unary")
+        value = self._usets[symbol] = frozenset(t[0] for t in self.edb[symbol])
+        return value
 
     def __eq__(self, other):
         if not isinstance(other, Structure):

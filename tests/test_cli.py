@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
 from tracelang.cli import main
+from tracelang.errors import TraceLangError
+from tracelang.parser import parse_program
 from tracelang.problems import ProblemId, build_instance, program_text
-from tracelang.structures import serialize_structure
+from tracelang.structures import parse_structure, serialize_structure
 
 
 @pytest.fixture
@@ -302,3 +305,29 @@ def test_equiv_refuses_a_term_that_names_a_missing_module(tmp_path, capsys):
     assert main(argv + ["--left", "fail ; Ghost", "--right", "fail"]) == 64
     err = capsys.readouterr().err
     assert err == "error: term references undefined module Ghost\n"
+
+
+@pytest.mark.parametrize(
+    "left, message",
+    [
+        ("fail ; Ghost == P", "test names undeclared symbol Ghost"),
+        ("fail ; adom == P", "test names undeclared symbol adom"),
+        ("if " * 100 + "GuessP" + " then id else id" * 100, "TooDeep: universal checks nest 300 levels deep, more than 100"),
+        (" <+ ".join(["GuessP"] * 2000), "TooDeep: universal checks nest 1999 levels deep, more than 100"),
+        ("GuessP" + "^" * 2000, "TooDeep: universal checks nest 2000 levels deep, more than 100"),
+    ],
+    ids=["undeclared-symbol", "adom", "nested-ifs", "union-chain", "iterate-chain"],
+)
+def test_equiv_refuses_a_term_as_its_program_would(left, message, tmp_path, capsys):
+    # equiv refuses a term with the message of the compile step that
+    # refuses a program of it, before it evaluates anything
+    modules, domain = "module GuessP { P(x) <~ adom(x) }\n", "domain a b\nreg P\n"
+    program = tmp_path / "guess.program"
+    program.write_text(modules + "term: GuessP\n")
+    structure = tmp_path / "ab.structure"
+    structure.write_text(domain)
+    with pytest.raises(TraceLangError, match=f"^{re.escape(message)}$"):
+        parse_program(f"{modules}term: {left}\n", parse_structure(domain).vocabulary)
+    argv = ["equiv", "--program", str(program), "--structure", str(structure)]
+    assert main(argv + ["--left", left, "--right", "GuessP"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -332,7 +332,7 @@ def test_element_constants_in_rule_bodies():
     prog = _program('module PickFromA { P(y) <~ E("a", y) }\nterm: PickFromA', s)
     verdict = run_main_task(prog, s)
     assert verdict.kind == "yes"
-    assert verdict.trace.letters[-1].register_value("P") == "b"
+    assert verdict.witness.choices[-1] == Choice("PickFromA", (("P", "b"),))
 
     # a constant outside the domain is rejected when the program meets a
     # concrete structure
@@ -740,11 +740,12 @@ def test_module_free_checks_match_the_oracle_and_the_nested_search():
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
         t = _random_test_term(rng, rng.randint(1, 4))
+        checked = Program(s.vocabulary, prog.modules, t)
         cfg = SearchConfig(k=2, max_trace_length=8)
-        ev = Evaluator(prog, s, cfg)
-        r = ev.exists(t, trace)
+        ev = Evaluator(checked, s, cfg)
+        r = ev.exists(checked.core, trace)
         assert r == is_defined(prog, t, trace, cfg)
-        assert r == _nested_search(Evaluator(prog, s, cfg), t, trace)
+        assert r == _nested_search(Evaluator(checked, s, cfg), checked.core, trace)
         assert ev.nodes == 0 and not ev._table
 
 
@@ -759,11 +760,12 @@ def test_exists_matches_the_nested_search_on_terms_with_modules():
         prog = random_program(rng, s, depth=1)
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
+        checked = Program(s.vocabulary, prog.modules, t)
         cfg = SearchConfig(k=2, max_trace_length=5)
         oracle = is_defined(prog, t, trace, cfg)
-        direct, searched = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)
-        r = direct.exists(t, trace)
-        assert r == _nested_search(searched, t, trace)
+        direct, searched = Evaluator(checked, s, cfg), Evaluator(checked, s, cfg)
+        r = direct.exists(checked.core, trace)
+        assert r == _nested_search(searched, checked.core, trace)
         assert direct.nodes == searched.nodes
         assert r is None or oracle is UNKNOWN or r == oracle
 
@@ -1364,3 +1366,47 @@ def test_replay_into_unions_nested_to_the_bound_at_the_default_limit():
         w = Witness((Choice("GuessP", (("P", element),)),), 2)
         assert near_the_default_limit(lambda: replay_failure(prog, s, w, cfg)) == reason
         assert reference_replay_failure(Evaluator(prog, s, cfg), w) == reason
+
+
+def test_a_built_evaluator_reads_no_symbol_by_name(monkeypatch):
+    # An evaluator binds the value of each unary EDB symbol when it is
+    # built; after that, search and replay read every test side by
+    # position or from that binding, never through ``_value``.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance, make_st_instance, program_text
+    from tracelang.structures import serialize_structure
+    from tracelang.witness_io import verify_witness_file, witness_to_json
+
+    built, after = [], []
+    value, init = engine._value, Evaluator.__init__
+    building = False
+
+    def counted_value(symbol, trace):
+        (built if building else after).append(symbol)
+        return value(symbol, trace)
+
+    def counted_init(self, *args):
+        nonlocal building
+        building = True
+        try:
+            init(self, *args)
+        finally:
+            building = False
+
+    monkeypatch.setattr(engine, "_value", counted_value)
+    monkeypatch.setattr(Evaluator, "__init__", counted_init)
+    # every node but the target linked to every other: thousands of tests
+    # compare ``Reach`` with the EDB symbol ``T``
+    dense = make_st_instance(8, [(i, j) for i in range(7) for j in range(7) if i != j], 0, 7)
+    unsat = make_mod2_instance(3, [(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 2, 1)])
+    mod2 = make_mod2_instance(3, [(0, 1, 2, 1), (0, 0, 1, 0)])
+    for pid, s, kind in (
+        (ProblemId.ST_CONNECTIVITY, dense, "no"),
+        (ProblemId.MOD2_LINEAR, unsat, "no"),
+        (ProblemId.MOD2_LINEAR, mod2, "yes"),
+    ):
+        assert run_main_task(build_program(pid, s.vocabulary), s).kind == kind
+    text, structure = program_text(ProblemId.MOD2_LINEAR), serialize_structure(mod2)
+    witness = run_main_task(parse_program(text, mod2.vocabulary), mod2).witness
+    assert verify_witness_file(text, structure, witness_to_json(witness, text, structure, 2))[0]
+    assert len(after) == 0
+    assert built

@@ -1,9 +1,12 @@
 import random
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracelang import terms as T
 from tracelang.engine import SearchConfig, Trace, eval_deltas
+from tracelang.errors import ParseError, TraceLangError
 from tracelang.lab import (
     UNKNOWN,
     DeltaSet,
@@ -13,7 +16,7 @@ from tracelang.lab import (
     strongly_equivalent,
 )
 from tracelang.modules import Choice
-from tracelang.parser import MAX_NESTING, parse_program, parse_term
+from tracelang.parser import MAX_NESTING, Program, parse_program, parse_term
 from tracelang.problems import (
     ProblemId,
     build_instance,
@@ -317,20 +320,27 @@ def test_strong_equivalence_to_id_then_the_term_mirrors_definedness():
 
 
 def test_a_check_at_the_nesting_bound_runs_at_the_default_limit():
-    # the lab recurses once per term level, so every term the parser
-    # accepts checks at the default limit, also from 200 frames deep
+    # the lab recurses once per term level, so every term a program accepts
+    # checks at the default limit, also from 200 frames deep.  An ``if``
+    # nests three checks per level and a ``dia`` two, so 33 and 50 levels
+    # are the deepest within the bound, and one more is refused.
     s, prog, cfg = _setup()
     base = [Trace.initial(s)]
     bound = MAX_NESTING
+    ifs = lambda n: "if " * n + "GuessP" + " then id else id" * n  # noqa: E731
+    dias = lambda n: "dia(" * n + "GuessP" + ", id)" * n  # noqa: E731
     for text in (
         "~" * bound + "GuessP",
         "(" * bound + "GuessP ; P == P" + ")" * bound,
-        "if " * bound + "GuessP" + " then id else id" * bound,
-        "dia(" * bound + "GuessP" + ", id)" * bound,
+        ifs(bound // 3),
+        dias(bound // 2),
     ):
         t = parse_term(text)
         for check in (strongly_equivalent, before_after_equivalent):
             assert near_the_default_limit(lambda: check(prog, t, T.Seq(T.Id(), t), base, cfg)) is not UNKNOWN
+    for text in (ifs(bound // 3 + 1), dias(bound // 2 + 1)):
+        with pytest.raises(ParseError, match="TooDeep"):
+            strongly_equivalent(prog, parse_term(text), T.Id(), base, cfg)
 
 
 def test_a_long_path_is_decided_at_the_default_limit():
@@ -345,3 +355,66 @@ def test_a_long_path_is_decided_at_the_default_limit():
         prog = build_program(ProblemId.ST_CONNECTIVITY, inst.vocabulary)
         cfg = SearchConfig.for_run(prog, inst)
         assert near_the_default_limit(lambda: is_defined(prog, prog.main, Trace.initial(inst), cfg)) is defined
+
+
+# The vocabulary and modules of the refusal property: registers P and Q, a
+# unary EDB symbol U and a binary one E.
+_REFUSAL_INPUT = structure_of(("a", "b"), {"U": {("a",)}, "E": {("a", "b")}}, registers=("P", "Q"))
+_REFUSAL_PROGRAM = parse_program(
+    "module GuessP { P(x) <~ adom(x) }\nmodule Step { Q(y) <~ P(x), E(x, y) }\nterm: GuessP",
+    _REFUSAL_INPUT.vocabulary,
+)
+# the registers and unary EDB symbol, then an undeclared, a binary and the
+# reserved symbol, none of which a test may name
+_SYMBOLS = st.sampled_from(["P", "Q", "U", "P", "Q", "U", "Nope", "E", "adom"])
+_LEAF_TERMS = st.one_of(
+    st.just(T.Id()),
+    st.just(T.Fail()),
+    st.sampled_from(["GuessP", "Step", "Ghost"]).map(T.ModuleRef),
+    st.builds(T.EqTest, _SYMBOLS, _SYMBOLS),
+    st.builds(T.BackGlobal, _SYMBOLS, _SYMBOLS),
+)
+
+
+def _nest(t, n, kind):
+    """``t`` under ``n`` levels of one kind of check: prefix ``~`` nests in
+    text, a ``^`` chain or the left spine of a ``<+`` chain does not."""
+    for _ in range(n):
+        t = T.AntiDomain(t) if kind == "~" else T.MaxIterate(t) if kind == "^" else T.PrefUnion(t, T.Id())
+    return t
+
+
+def _inner_terms(inner):
+    return st.one_of(
+        st.builds(T.Seq, inner, inner),
+        st.builds(T.PrefUnion, inner, inner),
+        st.builds(T.AntiDomain, inner),
+        st.builds(T.MaxIterate, inner),
+        st.builds(T.If, inner, inner, inner),
+        st.builds(T.Dia, inner, inner),
+        st.builds(T.Pow, inner, st.integers(0, 3)),
+        st.builds(_nest, inner, st.integers(MAX_NESTING - 5, MAX_NESTING + 5), st.sampled_from("~^+")),
+    )
+
+
+_QUERY_TERMS = st.recursive(_LEAF_TERMS, _inner_terms, max_leaves=6)
+
+
+def _refusal(query):
+    """The class and message of the ``TraceLangError`` ``query()`` raises,
+    or ``None``."""
+    try:
+        query()
+    except TraceLangError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
+@given(_QUERY_TERMS, _QUERY_TERMS)
+def test_the_lab_refuses_exactly_what_a_program_refuses(t, g):
+    prog, base = _REFUSAL_PROGRAM, Trace.initial(_REFUSAL_INPUT)
+    cfg = SearchConfig(k=2, max_trace_length=3, node_budget=500)
+    refused = [_refusal(lambda u=u: Program(prog.vocabulary, prog.modules, u)) for u in (t, g)]
+    assert _refusal(lambda: is_defined(prog, t, base, cfg)) == refused[0]
+    assert _refusal(lambda: strongly_equivalent(prog, t, g, [base], cfg)) == (refused[0] or refused[1])
