@@ -665,54 +665,53 @@ class Evaluator:
     def _replay(self, term: T.Term, trace: Trace, chooser: _Chooser) -> Trace:
         # Sequencing and the chosen union arm are replayed from a worklist,
         # left part before right part, so the Python stack stays flat however
-        # long a ``Seq`` chain (e.g. a desugared ``pow``) is.
+        # long a ``Seq`` chain (e.g. a desugared ``pow``) is.  Nodes are told
+        # apart by type tests, most frequent class first, as in ``_test``.
         work = [term]
         while work:
             node = work.pop()
-            match node:
-                case T.Id():
-                    pass
-                case T.ModuleRef(name):
-                    choice = chooser.peek()
-                    if choice.module != name:
-                        raise ChoiceMismatchError(
-                            f"certificate names module {choice.module}, derivation needs {name}"
-                        )
-                    check_choice(self.program.compiled[name], trace.input, trace.last, choice)
-                    chooser.pos += 1
-                    self.nodes += 1
-                    trace = trace.extend(choice)
-                case T.Seq(a, b):
-                    work.append(b)
-                    work.append(a)
-                case T.AntiDomain(a):
-                    r = self.exists(a, trace)
-                    if r is not False:
-                        raise ChoiceMismatchError(
-                            "anti-domain test fails" if r else "anti-domain check inconclusive"
-                        )
-                case T.PrefUnion(a, b):
-                    after = self._replay_if_true(a, trace, chooser, "union arm check inconclusive")
-                    if after is None:
-                        work.append(b)
-                    else:
-                        trace = after
-                case T.MaxIterate(a):
-                    seen = {trace.last}
-                    inconclusive = "iterate exit check inconclusive"
-                    while (after := self._replay_if_true(a, trace, chooser, inconclusive)) is not None:
-                        trace = after
-                        if trace.last in seen:
-                            raise ChoiceMismatchError("iterate revisits a milestone valuation")
-                        seen.add(trace.last)
-                case T.EqTest(p, q):
-                    if not self._test(node, trace):
-                        raise ChoiceMismatchError(f"equality test {p} == {q} fails")
-                case T.BackGlobal(p, q):
-                    if not self._test(node, trace):
-                        raise ChoiceMismatchError(f"history test BG({p} != {q}) fails")
-                case other:
-                    raise TypeError(f"term is not in core form: {other!r}")
+            cls = type(node)
+            if cls is T.Seq:
+                work.append(node.right)
+                work.append(node.left)
+            elif cls is T.ModuleRef:
+                name, choice = node.name, chooser.peek()
+                if choice.module != name:
+                    raise ChoiceMismatchError(
+                        f"certificate names module {choice.module}, derivation needs {name}"
+                    )
+                check_choice(self.program.compiled[name], trace.input, trace.last, choice)
+                chooser.pos += 1
+                self.nodes += 1
+                trace = trace.extend(choice)
+            elif cls is T.BackGlobal:
+                if not self._test(node, trace):
+                    raise ChoiceMismatchError(f"history test BG({node.current} != {node.past}) fails")
+            elif cls is T.AntiDomain:
+                r = self.exists(node.term, trace)
+                if r is not False:
+                    raise ChoiceMismatchError(
+                        "anti-domain test fails" if r else "anti-domain check inconclusive"
+                    )
+            elif cls is T.PrefUnion:
+                after = self._replay_if_true(node.left, trace, chooser, "union arm check inconclusive")
+                if after is None:
+                    work.append(node.right)
+                else:
+                    trace = after
+            elif cls is T.EqTest:
+                if not self._test(node, trace):
+                    raise ChoiceMismatchError(f"equality test {node.left} == {node.right} fails")
+            elif cls is T.MaxIterate:
+                seen = {trace.last}
+                inconclusive = "iterate exit check inconclusive"
+                while (after := self._replay_if_true(node.term, trace, chooser, inconclusive)) is not None:
+                    trace = after
+                    if trace.last in seen:
+                        raise ChoiceMismatchError("iterate revisits a milestone valuation")
+                    seen.add(trace.last)
+            elif cls is not T.Id:
+                raise TypeError(f"term is not in core form: {node!r}")
         return trace
 
     def _replay_if_true(self, a: T.Term, trace: Trace, chooser: _Chooser, inconclusive: str):

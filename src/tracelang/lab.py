@@ -31,9 +31,10 @@ and evaluates each shared subterm once per trace:
 The recursion is unchanged by this: one call per term level, with the left
 spine of a ``;`` chain walked in a loop and the unfoldings of a maximum
 iterate walked from a worklist, so the stack grows with the term, not with
-the trace.  ``node_budget`` caps the successor traces a query builds; a
-module step that would build past it builds none and is incomplete, so the
-answer is UNKNOWN, as at the length bound.
+the trace.  Nodes are told apart by type tests, most frequent class first,
+as in the engine's hot walks.  ``node_budget`` caps the successor traces a
+query builds; a module step that would build past it builds none and is
+incomplete, so the answer is UNKNOWN, as at the length bound.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class DeltaSet:
                 raise ValueError("extension does not extend its base")
 
 
-_LEAVES = (T.Id, T.ModuleRef, T.EqTest, T.BackGlobal)
 # the empty set and the two empty answers, one object each: most memoised
 # answers are empty
 _NONE: frozenset[Trace] = frozenset()
@@ -103,9 +103,9 @@ class _Deno:
         # keeps every walked object alive, so that ``canon``'s ids stay theirs.
         # A program of a term may be refused only if the term does not
         # desugar, names a missing module or a symbol outside ``unary``, or
-        # has more than ``MAX_NESTING`` check nodes; then those are built.
+        # nests checks past ``MAX_NESTING``; then those are built.
         unary = program.vocabulary.unary_symbols
-        refusable, checks = False, 0
+        refusable = False
         try:
             desugared = [T.desugar(t) for t in terms]
         except (TraceLangError, ValueError):
@@ -113,6 +113,7 @@ class _Deno:
         table: dict = {}
         canon: dict[int, T.Term] = {}  # id(walked node) -> canonical node
         edges: dict[int, int] = {}  # id(canonical node) -> parent edges
+        nest: dict[int, int] = {}  # id(canonical node) -> check depth
         stack = desugared[::-1]
         while stack:
             node = stack.pop()
@@ -127,34 +128,35 @@ class _Deno:
                     continue
                 key, kids = (cls, id(a), id(b)), (a, b)
                 fresh = a is not left or b is not right
-                checks += cls is T.PrefUnion
+                depth = max(nest[id(a)] + (cls is T.PrefUnion), nest[id(b)])
             elif cls is T.AntiDomain or cls is T.MaxIterate:
                 a = canon.get(id(node.term))
                 if a is None:
                     stack += (node, node.term)
                     continue
                 key, kids, fresh = (cls, id(a)), (a,), a is not node.term
-                checks += 1
-            elif cls in _LEAVES:
+                depth = nest[id(a)] + 1
+            else:
                 if cls is T.ModuleRef:
                     refusable |= node.name not in program.compiled
                 elif cls is T.EqTest:
                     refusable |= node.left not in unary or node.right not in unary
                 elif cls is T.BackGlobal:
                     refusable |= node.current not in unary or node.past not in unary
-                key, kids, fresh = node, (), False
-            else:
-                raise TypeError(f"term is not in core form: {node!r}")
+                elif cls is not T.Id:
+                    raise TypeError(f"term is not in core form: {node!r}")
+                key, kids, fresh, depth = node, (), False, 0
             c = table.get(key)
             if c is None:
                 c = table[key] = cls(*kids) if fresh else node
+                nest[id(c)] = depth
                 for kid in kids:
                     edges[id(kid)] = edges.get(id(kid), 0) + 1
             canon[id(node)] = c
-        if refusable or checks > T.MAX_NESTING:
+        self.roots = [canon[id(t)] for t in desugared]
+        if refusable or any(nest[id(root)] > T.MAX_NESTING for root in self.roots):
             for t in terms:
                 Program(program.vocabulary, program.modules, t)
-        self.roots = [canon[id(t)] for t in desugared]
         for root in self.roots:
             edges[id(root)] = edges.get(id(root), 0) + 1
         # id(shared node) -> {trace: (extension set, complete?)}
@@ -167,58 +169,58 @@ class _Deno:
             out = memo.get(trace)
             if out is not None:
                 return out
-        match term:
-            case T.Id():
-                out = frozenset((trace,)), True
-            case T.ModuleRef(name):
-                out = self._step(name, trace)
-            case T.Seq():
-                # the left spine in a loop, so a long ``;`` chain stays flat;
-                # a shared node on it is looked up and stored as on entry
-                spine, node, out = [], term, None
-                while type(node) is T.Seq:
-                    m = self.memo.get(id(node))
-                    if m is not None and node is not term:
-                        out = m.get(trace)
-                        if out is not None:
-                            break
-                    spine.append((node.right, m))
-                    node = node.left
-                found, complete = self.deno(node, trace) if out is None else out
-                for right, m in reversed(spine):
-                    more: set[Trace] = set()
-                    for u in found:
-                        step, ok = self.deno(right, u)
-                        more |= step
-                        complete = complete and ok
-                    found = frozenset(more) if more else _NONE
-                    if m is not None:
-                        m[trace] = found, complete
+        cls = type(term)
+        if cls is T.BackGlobal:
+            out = (frozenset((trace,)), True) if check_bg(term.current, term.past, trace) else _FAILED
+        elif cls is T.Seq:
+            # the left spine in a loop, so a long ``;`` chain stays flat; a
+            # shared node on it is looked up and stored as on entry
+            spine, node, out = [], term, None
+            while type(node) is T.Seq:
+                m = self.memo.get(id(node))
+                if m is not None and node is not term:
+                    out = m.get(trace)
+                    if out is not None:
+                        break
+                spine.append((node.right, m))
+                node = node.left
+            found, complete = self.deno(node, trace) if out is None else out
+            for right, m in reversed(spine):
+                more: set[Trace] = set()
+                for u in found:
+                    step, ok = self.deno(right, u)
+                    more |= step
+                    complete = complete and ok
+                found = frozenset(more) if more else _NONE
+                if m is not None:
+                    m[trace] = found, complete
+            out = found, complete
+        elif cls is T.PrefUnion:
+            found, complete = self.deno(term.left, trace)
+            if found:
                 out = found, complete
-            case T.AntiDomain(a):
-                found, complete = self.deno(a, trace)
-                if found:
-                    out = _FAILED  # a witness refutes the test outright
-                elif complete:
-                    out = frozenset((trace,)), True
-                else:
-                    out = _CUT
-            case T.PrefUnion(a, b):
-                found, complete = self.deno(a, trace)
-                if found:
-                    out = found, complete
-                elif complete:
-                    out = self.deno(b, trace)
-                else:
-                    out = _CUT
-            case T.MaxIterate(a):
-                out = self._iterate(a, trace)
-            case T.EqTest(p, q):
-                out = (frozenset((trace,)), True) if check_eq(p, q, trace) else _FAILED
-            case T.BackGlobal(p, q):
-                out = (frozenset((trace,)), True) if check_bg(p, q, trace) else _FAILED
-            case _:
-                raise TypeError(f"term is not in core form: {term!r}")
+            elif complete:
+                out = self.deno(term.right, trace)
+            else:
+                out = _CUT
+        elif cls is T.ModuleRef:
+            out = self._step(term.name, trace)
+        elif cls is T.AntiDomain:
+            found, complete = self.deno(term.term, trace)
+            if found:
+                out = _FAILED  # a witness refutes the test outright
+            elif complete:
+                out = frozenset((trace,)), True
+            else:
+                out = _CUT
+        elif cls is T.EqTest:
+            out = (frozenset((trace,)), True) if check_eq(term.left, term.right, trace) else _FAILED
+        elif cls is T.MaxIterate:
+            out = self._iterate(term.term, trace)
+        elif cls is T.Id:
+            out = frozenset((trace,)), True
+        else:
+            raise TypeError(f"term is not in core form: {term!r}")
         if memo is not None:
             memo[trace] = out
         return out

@@ -47,6 +47,12 @@ def witness_to_json(witness: Witness, program_text: str, structure_text: str, k:
 
 def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
     """Parse a witness document; returns the witness and the raw fields."""
+    doc = _document(text)
+    return _witness(doc), doc
+
+
+def _document(text: str) -> dict[str, Any]:
+    """A witness document's fields, checked; ``ParseError`` at the first bad one."""
     try:
         doc = json.loads(text)
     # a ValueError also for an integer of over 4,300 digits, a RecursionError
@@ -67,7 +73,6 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
             raise ParseError(f"witness file lacks a valid {field!r} field")
     if doc["k"] < 1:
         raise ParseError(f"witness file has k = {doc['k']}; k must be at least 1")
-    choices = []
     for entry in doc["choices"]:
         if (
             not isinstance(entry, dict)
@@ -76,10 +81,13 @@ def witness_from_json(text: str) -> tuple[Witness, dict[str, Any]]:
             or not all(isinstance(v, str) for v in entry["assignment"].values())
         ):
             raise ParseError("witness choice entries need a module and an assignment of elements")
-        choices.append(
-            Choice(entry["module"], tuple(sorted(entry["assignment"].items())))
-        )
-    return Witness(tuple(choices), doc["final_length"]), doc
+    return doc
+
+
+def _witness(doc: dict[str, Any]) -> Witness:
+    """The witness of a document that :func:`_document` has checked."""
+    choices = [Choice(e["module"], tuple(sorted(e["assignment"].items()))) for e in doc["choices"]]
+    return Witness(tuple(choices), doc["final_length"])
 
 
 def verify_witness_file(
@@ -87,17 +95,18 @@ def verify_witness_file(
 ) -> tuple[bool, str]:
     """Full verification of a witness document against its source texts.
 
-    Returns (ok, reason).  Hash mismatches are reported distinctly and skip
-    the replay entirely.
+    Returns (ok, reason).  A malformed document is reported first, then a
+    hash mismatch, which skips building the choices and the replay.
     """
     try:
-        witness, doc = witness_from_json(witness_text)
+        doc = _document(witness_text)
     except ParseError as e:
         return False, str(e)
     if doc["program"] != text_hash(program_text):
         return False, "hash mismatch: witness was produced for a different program"
     if doc["input"] != text_hash(structure_text):
         return False, "hash mismatch: witness was produced for a different input"
+    witness = _witness(doc)
     try:
         structure = parse_structure(structure_text)
         program = parse_program(program_text, structure.vocabulary)

@@ -31,3 +31,14 @@ def test_the_first_operation_of_each_kind_passes_its_check(name):
     assert first
     for kind, op in first.items():
         assert op.check(op.call()) is None, kind
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("name", ["equiv-lab", "verify-certs"])
+def test_every_operation_of_a_lab_and_a_replay_round_passes_its_check(name, seed):
+    # these rounds run the lab's evaluator and certificate replay on every
+    # kind of node, answer and failure reason the benchmark checks
+    ops = list(workloads.WORKLOADS[name](seed))
+    assert ops
+    for op in ops:
+        assert op.check(op.call()) is None, op.kind

@@ -418,3 +418,31 @@ def test_the_lab_refuses_exactly_what_a_program_refuses(t, g):
     refused = [_refusal(lambda u=u: Program(prog.vocabulary, prog.modules, u)) for u in (t, g)]
     assert _refusal(lambda: is_defined(prog, t, base, cfg)) == refused[0]
     assert _refusal(lambda: strongly_equivalent(prog, t, g, [base], cfg)) == (refused[0] or refused[1])
+
+
+def test_shallow_checks_compile_no_program_however_many(monkeypatch):
+    # a ``;`` chain of checks nests them one level deep, however long it is,
+    # so the lab builds no Program to refuse it; a ``^`` chain nests them
+    import tracelang.lab as lab
+
+    s = build_instance(ProblemId.MOD2_LINEAR, seed=3)
+    prog = build_program(ProblemId.MOD2_LINEAR, s.vocabulary)
+    base, cfg = Trace.initial(s), SearchConfig.for_run(prog, s)
+    built = []
+    real = lab.Program
+    monkeypatch.setattr(lab, "Program", lambda *args: built.append(args) or real(*args))
+    def check():  # a new object each time, as each parses apart
+        return T.AntiDomain(T.EqTest("Var", "Val"))
+
+    for n in (101, 1000):
+        chain = check()
+        for _ in range(n - 1):
+            chain = T.Seq(chain, check())
+        assert is_defined(prog, chain, base, cfg) is False
+        assert strongly_equivalent(prog, chain, T.Seq(chain, check()), [base], cfg) is False
+    assert built == []
+    assert is_defined(prog, _nest(check(), MAX_NESTING - 1, "^"), base, cfg) is True
+    assert built == []
+    with pytest.raises(ParseError, match="TooDeep"):
+        is_defined(prog, _nest(check(), MAX_NESTING, "^"), base, cfg)
+    assert len(built) == 1

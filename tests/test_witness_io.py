@@ -166,3 +166,24 @@ def test_a_certificate_of_a_program_a_run_refuses_is_invalid():
     }
     ok, reason = verify_witness_file(program, STRUCTURE, json.dumps(doc))
     assert not ok and "constant 'zz' is not a domain element" in reason
+
+
+def test_a_bad_entry_is_reported_before_a_hash_and_a_hash_before_any_choice_is_built(monkeypatch):
+    import tracelang.witness_io as witness_io
+
+    built = []
+    monkeypatch.setattr(witness_io, "Choice", lambda *args: built.append(args) or Choice(*args))
+    doc = _checked_certificate()
+    assert verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(doc)) == (True, "witness replays cleanly")
+    assert len(built) == len(doc["choices"]) > 0
+    built.clear()
+    for field in ("program", "input"):
+        mutant = {**doc, field: text_hash(f"a different {field}")}
+        reason = f"hash mismatch: witness was produced for a different {field}"
+        assert verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(mutant)) == (False, reason)
+        assert built == []
+        # a malformed choice entry is reported first, whatever the hashes say
+        mutant["choices"] = doc["choices"][:-1] + [{"module": "GuessP", "assignment": {"P": 1}}]
+        entry = "witness choice entries need a module and an assignment of elements"
+        assert verify_witness_file(CHECKED, CHECKED_INPUT, json.dumps(mutant)) == (False, entry)
+        assert built == []
