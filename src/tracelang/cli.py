@@ -121,14 +121,14 @@ def cmd_run(args) -> int:
         "nodes_explored": verdict.nodes,
         "exists_calls": verdict.exists_calls,
         "table_hits": verdict.table_hits,
-        "k": cfg.k,
+        "k": args.k,
         "max_trace_length": cfg.max_trace_length,
         "node_budget": cfg.node_budget,
         "wall_seconds": round(elapsed, 6),
     }
     if verdict.kind == "yes" and args.witness:
         with open(args.witness, "w", encoding="utf-8") as f:
-            f.write(witness_to_json(verdict.witness, program_text, structure_text, cfg.k))
+            f.write(witness_to_json(verdict.witness, program_text, structure_text, args.k))
         report["witness_path"] = args.witness
         report["witness_length"] = witness_length(verdict.witness)
     _emit(report, args.format, args.no_timing)
@@ -158,7 +158,7 @@ def cmd_equiv(args) -> int:
     label = "Unknown" if result is UNKNOWN else str(result)
     print(
         f"{label} (mode={args.mode}, bases={len(bases)}, "
-        f"max_trace_length={cfg.max_trace_length}, k={cfg.k})"
+        f"max_trace_length={cfg.max_trace_length}, k={args.k})"
     )
     if result is UNKNOWN:
         return 2

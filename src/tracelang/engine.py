@@ -36,12 +36,12 @@ when the arm's search was complete and found nothing.  Its answer is tabled
 like a check's, so a known answer still skips the search.
 
 A successful search yields a witness: the ordered list of module choices
-along the accepting trace.  Replaying a witness re-runs the term with every
-guess dictated by the certificate, so the derivation is deterministic and
-needs no backtracking.  Replay proves a true union arm or iterate step by
-replaying it from the certificate, since a replay that succeeds is a run;
-only where that replay fails does it ask ``exists``, so only a false arm or
-step, or a certificate that does not replay, is searched.
+along the accepting trace.  Replay re-runs the term with each guess read
+from the certificate by trace length (a module step on ``L`` letters takes
+choice ``L - 1``), so it is deterministic and keeps no cursor.  It proves a
+true union arm or iterate step by replaying it, since a replay that
+succeeds is a run; only a failed replay asks ``exists``, so only a false
+arm or step, or a certificate that does not replay, is searched.
 
 An :class:`Evaluator` runs the core of one program on one input under one
 bound configuration; its caches and exists table hold for that input alone.
@@ -223,19 +223,11 @@ _LENGTH_CAP = 1 << 62
 class SearchConfig:
     """Bounds for the search: the trace length and the node budget.  The
     nesting of universal checks needs no bound here, the program fixes it.
+    ``max_trace_length`` counts letters including the input (``for_run``
+    derives it from an exponent ``k``, which is not kept).  ``node_budget``
+    caps the module steps expanded (``None``: no cap); the lab counts the
+    successor traces it builds against it instead."""
 
-    ``max_trace_length`` counts letters including the input.  The default is
-    ``max(2, n) ** k + 2``: the polynomial bound on added letters, plus the
-    input letter, plus one letter of headroom so that exhaustion probes (a
-    guess that must be materialized before a freshness test can reject it)
-    stay conclusive at very small domains.  No search builds a trace near
-    ``2 ** 62`` letters, so the default is cut there: no answer changes, and
-    a huge ``k`` costs no more than ``k = 62``.
-    ``node_budget`` caps the module steps expanded (``None``: no cap); the
-    lab counts the successor traces it builds against it instead.
-    """
-
-    k: int = 2
     max_trace_length: int = 101
     witness_limit: int = 1000
     node_budget: Optional[int] = None
@@ -252,7 +244,13 @@ class SearchConfig:
     ) -> "SearchConfig":
         """The default bounds for a run on ``input_structure``; they depend
         on the input alone, not on ``program``.  A given length bound must
-        hold the input letter."""
+        hold the input letter.  The default is ``max(2, n) ** k + 2``: the
+        polynomial bound on added letters, plus the input letter, plus one
+        letter of headroom so that exhaustion probes (a guess that must be
+        materialized before a freshness test can reject it) stay conclusive
+        at very small domains.  No search builds a trace near ``2 ** 62``
+        letters, so the default is cut there: no answer changes, and a huge
+        ``k`` costs no more than ``k = 62``."""
         if k < 0:
             raise InvalidParamsError(f"the length-bound exponent k must be nonnegative, got {k}")
         if max_trace_length is None:
@@ -263,7 +261,7 @@ class SearchConfig:
             raise InvalidParamsError(
                 f"the trace length bound must hold the input letter (at least 1), got {max_trace_length}"
             )
-        return cls(k, max_trace_length, witness_limit, node_budget)
+        return cls(max_trace_length, witness_limit, node_budget)
 
 
 @dataclass(frozen=True)
@@ -339,23 +337,6 @@ _FOUND = object()
 
 # What ``Evaluator._test`` answers when only a search can decide a check.
 _SEARCH = object()
-
-
-class _Chooser:
-    __slots__ = ("choices", "pos")
-
-    def __init__(self, choices: tuple[Choice, ...]):
-        self.choices = choices
-        self.pos = 0
-
-    def peek(self) -> Choice:
-        """The next choice; ``pos`` moves past it only once it is applied."""
-        if self.pos >= len(self.choices):
-            raise ChoiceMismatchError("certificate has fewer choices than the derivation needs")
-        return self.choices[self.pos]
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.choices)
 
 
 class Evaluator:
@@ -635,100 +616,105 @@ class Evaluator:
         """Deterministically re-derive the witness trace; raises
         ``ChoiceMismatchError`` when the certificate does not replay.
 
-        Every guess is dictated by the certificate; at each point exactly one
-        rule applies, so no search over choices happens.  A union's left arm
-        and an iterate's step are replayed first, and checked by the same
-        bounded procedure the search uses only when that replay fails; every
-        anti-domain test is checked so.  Replay's Python stack depth grows
-        with the nesting of left arms and iterates, which the program bounds,
-        not with the length of a sequence chain: a ``pow(t, j)`` certificate
-        replays at the same depth for every ``j``.
+        Every guess is dictated by the certificate, read by trace length (a
+        module step on ``L`` letters takes choice ``L - 1``); at each point
+        exactly one rule applies, so no search over choices happens.  A
+        union's left arm and an iterate's step are replayed first, and
+        checked by the same bounded procedure the search uses only when that
+        replay fails; every anti-domain test is checked so.  Replay's Python
+        stack depth grows with the nesting of left arms and iterates, which
+        the program bounds, not with the length of a sequence chain: a
+        ``pow(t, j)`` certificate replays at the same depth for every ``j``.
 
         A failure's message starts with ``at choice i:``, where ``i`` is the
-        number of choices replayed before it (the index of the failing one).
-        Each replayed choice adds one letter, so the checks of
+        number of choices replayed before it (the index of the failing one),
+        read from the trace where it was raised.  The checks of
         ``final_length`` up front keep the trace within the length bound.
         """
-        chooser = _Chooser(witness.choices)
+        choices, trace = witness.choices, Trace.initial(self.input)
         try:
-            if witness.final_length != 1 + len(witness.choices):
+            if witness.final_length != 1 + len(choices):
                 raise ChoiceMismatchError("final_length does not match the number of choices")
             if witness.final_length > self.cfg.max_trace_length:
                 raise ChoiceMismatchError("certificate exceeds the configured length bound")
-            trace = self._replay(self.program.core, Trace.initial(self.input), chooser)
-            if not chooser.exhausted():
+            trace = self._replay(self.program.core, trace, choices)
+            if trace.length != witness.final_length:
                 raise ChoiceMismatchError("certificate has more choices than the derivation uses")
         except ChoiceMismatchError as e:
-            raise type(e)(f"at choice {chooser.pos}: {e}") from None
+            step = trace.length - 1 if e.step is None else e.step
+            raise type(e)(f"at choice {step}: {e}") from None
         return trace
 
-    def _replay(self, term: T.Term, trace: Trace, chooser: _Chooser) -> Trace:
+    def _replay(self, term: T.Term, trace: Trace, choices: tuple[Choice, ...]) -> Trace:
         # Sequencing and the chosen union arm are replayed from a worklist,
         # left part before right part, so the Python stack stays flat however
         # long a ``Seq`` chain (e.g. a desugared ``pow``) is.  Nodes are told
         # apart by type tests, most frequent class first, as in ``_test``.
         work = [term]
-        while work:
-            node = work.pop()
-            cls = type(node)
-            if cls is T.Seq:
-                work.append(node.right)
-                work.append(node.left)
-            elif cls is T.ModuleRef:
-                name, choice = node.name, chooser.peek()
-                if choice.module != name:
-                    raise ChoiceMismatchError(
-                        f"certificate names module {choice.module}, derivation needs {name}"
-                    )
-                check_choice(self.program.compiled[name], trace.input, trace.last, choice)
-                chooser.pos += 1
-                self.nodes += 1
-                trace = trace.extend(choice)
-            elif cls is T.BackGlobal:
-                if not self._test(node, trace):
-                    raise ChoiceMismatchError(f"history test BG({node.current} != {node.past}) fails")
-            elif cls is T.AntiDomain:
-                r = self.exists(node.term, trace)
-                if r is not False:
-                    raise ChoiceMismatchError(
-                        "anti-domain test fails" if r else "anti-domain check inconclusive"
-                    )
-            elif cls is T.PrefUnion:
-                after = self._replay_if_true(node.left, trace, chooser, "union arm check inconclusive")
-                if after is None:
+        try:
+            while work:
+                node = work.pop()
+                cls = type(node)
+                if cls is T.Seq:
                     work.append(node.right)
-                else:
-                    trace = after
-            elif cls is T.EqTest:
-                if not self._test(node, trace):
-                    raise ChoiceMismatchError(f"equality test {node.left} == {node.right} fails")
-            elif cls is T.MaxIterate:
-                seen = {trace.last}
-                inconclusive = "iterate exit check inconclusive"
-                while (after := self._replay_if_true(node.term, trace, chooser, inconclusive)) is not None:
-                    trace = after
-                    if trace.last in seen:
-                        raise ChoiceMismatchError("iterate revisits a milestone valuation")
-                    seen.add(trace.last)
-            elif cls is not T.Id:
-                raise TypeError(f"term is not in core form: {node!r}")
+                    work.append(node.left)
+                elif cls is T.ModuleRef:
+                    if trace.length > len(choices):
+                        raise ChoiceMismatchError("certificate has fewer choices than the derivation needs")
+                    name, choice = node.name, choices[trace.length - 1]
+                    if choice.module != name:
+                        raise ChoiceMismatchError(
+                            f"certificate names module {choice.module}, derivation needs {name}"
+                        )
+                    check_choice(self.program.compiled[name], trace.input, trace.last, choice)
+                    self.nodes += 1
+                    trace = trace.extend(choice)
+                elif cls is T.BackGlobal:
+                    if not self._test(node, trace):
+                        raise ChoiceMismatchError(f"history test BG({node.current} != {node.past}) fails")
+                elif cls is T.AntiDomain:
+                    r = self.exists(node.term, trace)
+                    if r is not False:
+                        raise ChoiceMismatchError(
+                            "anti-domain test fails" if r else "anti-domain check inconclusive"
+                        )
+                elif cls is T.PrefUnion:
+                    after = self._replay_if_true(node.left, trace, choices, "union arm")
+                    if after is None:
+                        work.append(node.right)
+                    else:
+                        trace = after
+                elif cls is T.EqTest:
+                    if not self._test(node, trace):
+                        raise ChoiceMismatchError(f"equality test {node.left} == {node.right} fails")
+                elif cls is T.MaxIterate:
+                    seen, body = {trace.last}, node.term
+                    while (after := self._replay_if_true(body, trace, choices, "iterate exit")) is not None:
+                        trace = after
+                        if trace.last in seen:
+                            raise ChoiceMismatchError("iterate revisits a milestone valuation")
+                        seen.add(trace.last)
+                elif cls is not T.Id:
+                    raise TypeError(f"term is not in core form: {node!r}")
+        except ChoiceMismatchError as e:
+            if e.step is None:  # raised here, not by a nested replay that stands
+                e.step = trace.length - 1
+            raise
         return trace
 
-    def _replay_if_true(self, a: T.Term, trace: Trace, chooser: _Chooser, inconclusive: str):
+    def _replay_if_true(self, a: T.Term, trace: Trace, choices: tuple[Choice, ...], check: str):
         """The trace after ``a`` replayed from the certificate, or ``None``
         where no run of ``a`` exists.  A replay that succeeds is a run, so
         only a failed one asks ``exists``; if a run exists after all, the
-        derivation must take ``a``, and the replay's own failure stands."""
-        pos = chooser.pos
+        derivation must take ``a``, and the replay's own failure stands.
+        ``check`` names the check in the reason of an inconclusive one."""
         try:
-            return self._replay(a, trace, chooser)
+            return self._replay(a, trace, choices)
         except ChoiceMismatchError:
-            failed, chooser.pos = chooser.pos, pos
             r = self.exists(a, trace)
             if r is None:
-                raise ChoiceMismatchError(inconclusive) from None
+                raise ChoiceMismatchError(f"{check} check inconclusive") from None
             if r:
-                chooser.pos = failed
                 raise
             return None
 

@@ -50,6 +50,8 @@ class UnknownModuleError(TraceLangError):
 class ChoiceMismatchError(TraceLangError):
     """A certificate does not replay."""
 
+    step = None  # set by replay: the index of the choice where it failed
+
 
 class StaleChoiceError(ChoiceMismatchError):
     """A choice is applied to a structure where it is not available."""

@@ -179,7 +179,7 @@ def build_program(pid: ProblemId, vocabulary: Optional[Vocabulary] = None) -> Pr
 
 
 def _instance(pid: ProblemId, domain: tuple[str, ...], edb: Mapping[str, Iterable[tuple]]) -> Structure:
-    vocab = Vocabulary(_EDB_SIGNATURE[pid], _REGISTERS[pid], len(domain))
+    vocab = Vocabulary(_EDB_SIGNATURE[pid], _REGISTERS[pid])
     tables = {name: frozenset(edb.get(name, ())) for name, _ in _EDB_SIGNATURE[pid]}
     return Structure(vocab, domain, tables, blank_registers(vocab))
 

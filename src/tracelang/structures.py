@@ -49,7 +49,9 @@ def _check_token(tok: str, what: str, line: int | None = None) -> str:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Relational signature: EDB symbols with arities, register names, domain size.
+    """Relational signature: EDB symbols with arities and register names.
+    It fixes no domain, so a program compiled against it runs on structures
+    of every domain size.
 
     ``register_index`` maps each register to its position, ``arities`` each
     declared symbol to its arity and ``unary_symbols`` holds those of arity
@@ -57,7 +59,6 @@ class Vocabulary:
 
     edb_symbols: tuple[tuple[str, int], ...]
     register_symbols: tuple[str, ...]
-    domain_size: int
 
     def __post_init__(self):
         arities: dict[str, int] = {}
@@ -69,8 +70,6 @@ class Vocabulary:
             if arity < 1:
                 raise ArityError(f"symbol {name} has arity {arity}; must be >= 1")
             arities[name] = arity
-        if self.domain_size < 0:
-            raise ParseError("domain size must be nonnegative")
         # plain attributes, not properties: the engine reads them per test
         object.__setattr__(self, "register_index", {n: i for i, n in enumerate(self.register_symbols)})
         object.__setattr__(self, "arities", arities)
@@ -82,9 +81,6 @@ class Vocabulary:
         if symbol not in self.arities:
             raise UnknownSymbolError(f"unknown symbol {symbol}")
         return self.arities[symbol]
-
-    def is_register(self, symbol: str) -> bool:
-        return symbol in self.register_index
 
     def is_declared(self, symbol: str) -> bool:
         return symbol in self.arities
@@ -110,10 +106,6 @@ class Structure:
         edb: Mapping[str, frozenset[tuple[str, ...]]],
         registers: tuple[Optional[str], ...],
     ):
-        if len(domain) != vocabulary.domain_size:
-            raise ParseError(
-                f"domain has {len(domain)} elements; vocabulary declares {vocabulary.domain_size}"
-            )
         if len(set(domain)) != len(domain):
             raise DuplicateSymbolError("domain elements must be distinct")
         if len(registers) != len(vocabulary.register_symbols):
@@ -184,7 +176,7 @@ class Structure:
     def __eq__(self, other):
         if not isinstance(other, Structure):
             return NotImplemented
-        return structures_equal(self, other)
+        return self.vocabulary == other.vocabulary and structures_equal(self, other)
 
     def __hash__(self):
         return hash((self.domain, self.registers, tuple(sorted((k, v) for k, v in self.edb.items()))))
@@ -307,7 +299,7 @@ def parse_structure(text: str) -> Structure:
 
     if domain is None:
         raise ParseError("missing domain line")
-    vocab = Vocabulary(tuple(edb_decls), tuple(registers), len(domain))
+    vocab = Vocabulary(tuple(edb_decls), tuple(registers))
     valuation = list(blank_registers(vocab))
     rindex = vocab.register_index
     for reg, val, lineno in states:

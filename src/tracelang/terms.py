@@ -174,6 +174,9 @@ def _parenthesized(node: Term, part: Term, right: bool = False) -> bool:
     return right and isinstance(part, _UNION)
 
 
+_LEAVES = frozenset((Id, ModuleRef, EqTest, BackGlobal, Skip, Fail))
+
+
 def desugar(t: Term, depth: int = 0) -> Term:
     """Rewrite surface constructs into the eight core constructors.
 
@@ -181,6 +184,8 @@ def desugar(t: Term, depth: int = 0) -> Term:
     left spine of ``;``/``<+`` chains and ``^`` chains is walked in a loop,
     so a long written-out chain costs no recursion; every other part is
     nested only within parentheses, keyword arguments or prefix operators.
+    A compound subterm shared by several parents (``pow`` shares its
+    halves) is desugared once per depth it occurs at, not once per path.
 
     ``depth`` is the nesting of ``t`` as the parser counts it in program
     text: one level per prefix operator, keyword argument, and chain that
@@ -190,18 +195,30 @@ def desugar(t: Term, depth: int = 0) -> Term:
     limit.  A level costs at most five Python frames (a union's right arm,
     a ``;`` chain's right arm, then an ``if`` condition).
     """
+    return _desugar(t, depth, {})
+
+
+def _desugar(t: Term, depth: int, memo: dict) -> Term:
+    """``desugar``, with ``memo`` holding the result of every call so far on
+    a term with parts, by ``(id(t), depth)``; a spine node gets no lookup."""
+    if type(t) in _LEAVES:
+        return _desugar_part(t, depth, memo)
+    key = (id(t), depth)
+    out = memo.get(key)
+    if out is not None:
+        return out
     spine = []
     while isinstance(t, _SPINE):
         spine.append((t, depth))
         part = t.term if type(t) is MaxIterate else t.left
         depth += _parenthesized(t, part)
         t = part
-    out = _desugar_part(t, depth)
+    out = _desugar_part(t, depth, memo)
     for node, depth in reversed(spine):
         if type(node) is MaxIterate:
             out = node if out is node.term else MaxIterate(out)
             continue
-        right = desugar(node.right, depth + _parenthesized(node, node.right, right=True))
+        right = _desugar(node.right, depth + _parenthesized(node, node.right, right=True), memo)
         if type(node) is And:
             out = Seq(out, right)
         elif type(node) is Or:
@@ -210,10 +227,11 @@ def desugar(t: Term, depth: int = 0) -> Term:
             out = type(node)(out, right)
         else:
             out = node
+    memo[key] = out
     return out
 
 
-def _desugar_part(t: Term, depth: int) -> Term:
+def _desugar_part(t: Term, depth: int, memo: dict) -> Term:
     """``desugar`` of a term that is not on a spine, ``depth`` levels deep."""
     if depth > MAX_NESTING:
         raise ParseError(f"TooDeep: term is nested more than {MAX_NESTING} levels deep")
@@ -222,26 +240,27 @@ def _desugar_part(t: Term, depth: int) -> Term:
         case Id() | ModuleRef(_) | EqTest(_, _) | BackGlobal(_, _):
             return t
         case AntiDomain(u):
-            d = desugar(u, inner)
+            d = _desugar(u, inner, memo)
             return t if d is u else AntiDomain(d)
         case Skip():
             return Id()
         case Fail():
             return AntiDomain(Id())
         case Test(u) | Dom(u):
-            return _test(u, inner)
+            return _test(u, inner, memo)
         case Dia(u, cond):
-            return AntiDomain(AntiDomain(Seq(desugar(u, inner), desugar(cond, inner))))
+            return AntiDomain(AntiDomain(Seq(_desugar(u, inner, memo), _desugar(cond, inner, memo))))
         case Not(u):
-            return AntiDomain(desugar(u, inner))
+            return AntiDomain(_desugar(u, inner, memo))
         case If(cond, then, orelse):
-            return PrefUnion(Seq(_test(cond, inner), desugar(then, inner)), desugar(orelse, inner))
+            arm = Seq(_test(cond, inner, memo), _desugar(then, inner, memo))
+            return PrefUnion(arm, _desugar(orelse, inner, memo))
         case While(cond, body):
-            phi = _test(cond, inner)
-            return Seq(MaxIterate(Seq(phi, desugar(body, inner))), AntiDomain(phi))
+            phi = _test(cond, inner, memo)
+            return Seq(MaxIterate(Seq(phi, _desugar(body, inner, memo))), AntiDomain(phi))
         case Repeat(body, cond):
-            phi = _test(cond, inner)
-            core_body = desugar(body, inner)
+            phi = _test(cond, inner, memo)
+            core_body = _desugar(body, inner, memo)
             return Seq(core_body, Seq(MaxIterate(Seq(AntiDomain(phi), core_body)), phi))
         case Pow(u, n):
             if n < 0:
@@ -250,7 +269,7 @@ def _desugar_part(t: Term, depth: int) -> Term:
                 return Id()
             # binary powers that share their halves: at most 2*log2(n) Seq
             # nodes; ``;`` is associative, so the steps run in the same order
-            power, out = desugar(u, inner), None
+            power, out = _desugar(u, inner, memo), None
             while True:
                 if n & 1:
                     out = power if out is None else Seq(out, power)
@@ -262,9 +281,9 @@ def _desugar_part(t: Term, depth: int) -> Term:
             raise TypeError(f"not a term: {t!r}")
 
 
-def _test(t: Term, depth: int) -> Term:
+def _test(t: Term, depth: int, memo: dict) -> Term:
     """``desugar(Test(t))``, with ``t`` at ``depth``."""
-    return AntiDomain(AntiDomain(desugar(t, depth)))
+    return AntiDomain(AntiDomain(_desugar(t, depth, memo)))
 
 
 # --- pretty printing --------------------------------------------------------

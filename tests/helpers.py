@@ -16,9 +16,9 @@ import sys
 from typing import Optional, Sequence
 
 from tracelang.cq import Atom, CQBody, Const
-from tracelang.engine import Evaluator, Trace, Witness, _Chooser, check_bg, check_eq
+from tracelang.engine import Evaluator, Trace, Witness, check_bg, check_eq
 from tracelang.errors import ChoiceMismatchError
-from tracelang.modules import ModuleDef, Rule, check_choice
+from tracelang.modules import Choice, ModuleDef, Rule, check_choice
 from tracelang.parser import Program
 from tracelang.structures import ADOM, Structure, Vocabulary, blank_registers
 from tracelang import terms as T
@@ -30,7 +30,7 @@ def naive_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
     def tuples_for(symbol):
         if symbol == ADOM:
             return {(e,) for e in s.domain}
-        if s.vocabulary.is_register(symbol):
+        if symbol in s.vocabulary.register_index:
             v = s.register_value(symbol)
             return set() if v is None else {(v,)}
         return set(s.edb[symbol])
@@ -48,6 +48,27 @@ def naive_unary_cq(body: CQBody, s: Structure) -> frozenset[str]:
         if ok:
             answers.add(env[body.head_var])
     return frozenset(answers)
+
+
+class _Chooser:
+    """The reference replay's cursor into the certificate: the index of the
+    next choice, moved by hand, where ``Evaluator.replay`` reads it from the
+    trace length."""
+
+    __slots__ = ("choices", "pos")
+
+    def __init__(self, choices: tuple[Choice, ...]):
+        self.choices = choices
+        self.pos = 0
+
+    def peek(self) -> Choice:
+        """The next choice; ``pos`` moves past it only once it is applied."""
+        if self.pos >= len(self.choices):
+            raise ChoiceMismatchError("certificate has fewer choices than the derivation needs")
+        return self.choices[self.pos]
+
+    def exhausted(self) -> bool:
+        return self.pos == len(self.choices)
 
 
 def reference_replay_failure(ev: Evaluator, witness: Witness) -> Optional[str]:
@@ -139,7 +160,7 @@ def structure_of(domain, edb=None, registers=(), arities=None, state=None) -> St
             if name not in edb:
                 decls.append((name, arity))
                 edb[name] = frozenset()
-    vocab = Vocabulary(tuple(decls), tuple(registers), len(domain))
+    vocab = Vocabulary(tuple(decls), tuple(registers))
     values = list(blank_registers(vocab))
     for reg, val in (state or {}).items():
         values[vocab.register_index[reg]] = val

@@ -42,6 +42,10 @@ from tracelang.witness_io import verify_witness_file, witness_to_json
 from helpers import random_program, random_structure, structure_of
 
 
+# The length-bound exponent of every corpus run.
+K = 2
+
+
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:>2} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
@@ -59,7 +63,7 @@ class Record:
 
 def _run(pid, instance):
     program = build_program(pid, instance.vocabulary)
-    cfg = SearchConfig.for_run(program, instance)
+    cfg = SearchConfig.for_run(program, instance, k=K)
     verdict = run_main_task(program, instance, cfg)
     return Record(pid, instance, program, cfg, verdict, oracle(pid, instance))
 
@@ -204,7 +208,7 @@ def test_criterion_7_engine_vs_denotational_cross_check():
         cases += 1
         s = random_structure(rng, max_domain=3)
         prog = random_program(rng, s, depth=4)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = eval_deltas(prog, prog.main, base, cfg)
@@ -324,14 +328,14 @@ def _timed_replay(prog, s, witness, cfg, batch: int = 5) -> float:
 def _mutations_rejected() -> bool:
     instance = build_instance(ProblemId.EVEN, {"n": 4})
     program = build_program(ProblemId.EVEN, instance.vocabulary)
-    cfg = SearchConfig.for_run(program, instance)
+    cfg = SearchConfig.for_run(program, instance, k=K)
     verdict = run_main_task(program, instance, cfg)
     assert verdict.kind == "yes"
     from tracelang.problems import program_text
 
     ptext = program_text(ProblemId.EVEN)
     stext = serialize_structure(instance)
-    doc = json.loads(witness_to_json(verdict.witness, ptext, stext, cfg.k))
+    doc = json.loads(witness_to_json(verdict.witness, ptext, stext, K))
     assert verify_witness_file(ptext, stext, json.dumps(doc))[0]
 
     def rejected(mutate) -> bool:
@@ -397,7 +401,7 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         s = random_structure(rng, max_domain=3)
         prog = random_program(rng, s, depth=2)
         t = random_core_term(rng, sorted(prog.modules), rng.randint(0, 2))
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         ev = Evaluator(prog, s, cfg)
         # build a random base trace by a few module steps
         base = Trace.initial(s)
@@ -433,7 +437,7 @@ def test_criterion_11_polynomial_witness_lengths(corpus):
                 continue
             total += 1
             n = len(r.instance.domain)
-            if witness_length(r.verdict.witness) > n ** r.cfg.k:
+            if witness_length(r.verdict.witness) > n ** K:
                 violations += 1
     _report(
         11,

@@ -203,7 +203,7 @@ def _cases(draw):
     arbitrary variable names and constants."""
     u, e, p, q, *variables = draw(st.lists(_NAMES.filter(lambda n: n != "adom"), min_size=7, max_size=7, unique=True))
     domain = tuple(draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True)))
-    vocab = Vocabulary(((u, 1), (e, 2)), (p, q), len(domain))
+    vocab = Vocabulary(((u, 1), (e, 2)), (p, q))
     pairs = list(itertools.product(domain, repeat=2))
     edb = {
         u: {(x,) for x in draw(st.lists(st.sampled_from(domain), unique=True))},
@@ -238,7 +238,6 @@ def _renamed(s, body):
     vocab = Vocabulary(
         tuple((names[n], k) for n, k in s.vocabulary.edb_symbols),
         tuple(names[n] for n in s.vocabulary.register_symbols),
-        s.vocabulary.domain_size,
     )
     return vocab, CQBody(rename(body.head_var), atoms)
 

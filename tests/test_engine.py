@@ -301,7 +301,7 @@ def test_search_is_deterministic():
     for _ in range(30):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         v1 = Evaluator(prog, s, cfg).run()
         v2 = Evaluator(prog, s, cfg).run()
         assert v1.kind == v2.kind
@@ -666,7 +666,7 @@ def test_exists_table_agrees_with_a_fresh_evaluator_per_query():
             )
         ]
         modules = {f"M{i}": _random_one_rule_module(rng, f"M{i}") for i in range(4)}
-        cfg = SearchConfig(k=2, max_trace_length=rng.randint(4, 6))
+        cfg = SearchConfig(max_trace_length=rng.randint(4, 6))
         terms = []
         for _ in range(4):
             names = rng.sample(sorted(modules), 2)
@@ -741,7 +741,7 @@ def test_module_free_checks_match_the_oracle_and_the_nested_search():
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 4))
         t = _random_test_term(rng, rng.randint(1, 4))
         checked = Program(s.vocabulary, prog.modules, t)
-        cfg = SearchConfig(k=2, max_trace_length=8)
+        cfg = SearchConfig(max_trace_length=8)
         ev = Evaluator(checked, s, cfg)
         r = ev.exists(checked.core, trace)
         assert r == is_defined(prog, t, trace, cfg)
@@ -761,7 +761,7 @@ def test_exists_matches_the_nested_search_on_terms_with_modules():
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         t = random_core_term(rng, sorted(prog.modules), rng.randint(1, 4))
         checked = Program(s.vocabulary, prog.modules, t)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         oracle = is_defined(prog, t, trace, cfg)
         direct, searched = Evaluator(checked, s, cfg), Evaluator(checked, s, cfg)
         r = direct.exists(checked.core, trace)
@@ -848,7 +848,7 @@ def test_fused_unions_match_the_unfused_reference():
         prog = Program(s.vocabulary, modules, _union_term(rng, sorted(modules), 4))
         trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
         for budget in (None, rng.choice([3, 10, 30])):
-            cfg = SearchConfig(k=2, max_trace_length=rng.randint(2, 5), node_budget=budget)
+            cfg = SearchConfig(max_trace_length=rng.randint(2, 5), node_budget=budget)
             ev, ref = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)
             verdict = ev.run()
             scope = engine._Scope()
@@ -897,7 +897,6 @@ def test_table_holds_no_inconclusive_answer():
         s = random_structure(rng)
         prog = random_program(rng, s, depth=4)
         cfg = SearchConfig(
-            k=2,
             max_trace_length=rng.randint(2, 4),
             node_budget=rng.choice([None, 5, 20]),
         )
@@ -970,7 +969,7 @@ def test_resolved_tests_decide_as_the_name_lookups_do():
                 for test, check in ((f"{p} == {q}", check_eq), (f"BG({p} != {q})", check_bg)):
                     prog = _program(modules + "term: " + test, s)
                     assert prog.core.positions == (index.get(p), index.get(q))
-                    cfg = SearchConfig(k=2, max_trace_length=10)
+                    cfg = SearchConfig(max_trace_length=10)
                     ev = Evaluator(prog, s, cfg)
                     for trace in traces:
                         holds = check(p, q, trace)
@@ -1262,7 +1261,7 @@ def test_replay_fails_exactly_as_the_exists_first_reference(seed):
     else:
         modules = random_modules(rng)
         prog = Program(s.vocabulary, modules, _union_term(rng, sorted(modules), 4))
-    cfg = SearchConfig(k=2, max_trace_length=rng.randint(2, 6), witness_limit=4)
+    cfg = SearchConfig(max_trace_length=rng.randint(2, 6), witness_limit=4)
     for witness in enumerate_witnesses(prog, s, cfg):
         # a length bound the witness just fits leaves some checks inconclusive
         tight = dataclasses.replace(cfg, max_trace_length=witness.final_length)
@@ -1366,6 +1365,27 @@ def test_replay_into_unions_nested_to_the_bound_at_the_default_limit():
         w = Witness((Choice("GuessP", (("P", element),)),), 2)
         assert near_the_default_limit(lambda: replay_failure(prog, s, w, cfg)) == reason
         assert reference_replay_failure(Evaluator(prog, s, cfg), w) == reason
+
+
+@pytest.mark.parametrize(
+    "term, modules, reason",
+    [
+        # the left arm can succeed, so the derivation must take it: its own
+        # failure at choice 1 stands, not the right arm's at choice 0
+        ("(A ; A) <+ B", "AB", "at choice 1: certificate names module B, derivation needs A"),
+        # the left arm cannot succeed (its replay fails at choice 2); the
+        # right arm's failure counts from where the union started, choice 1
+        ("A ; ((A ; fail) <+ (B ; B))", "AAB", "at choice 1: certificate names module A, derivation needs B"),
+    ],
+)
+def test_a_failed_union_left_arm_reports_the_failure_index_of_the_arm_taken(term, modules, reason):
+    s = structure_of(("a", "b"), registers=("P", "Q"))
+    prog = _program(f"module A {{ P(x) <~ adom(x) }}\nmodule B {{ Q(x) <~ adom(x) }}\nterm: {term}", s)
+    written = {"A": "P", "B": "Q"}
+    w = Witness(tuple(Choice(m, ((written[m], "a"),)) for m in modules), len(modules) + 1)
+    cfg = _cfg(prog, s)
+    assert replay_failure(prog, s, w, cfg) == reason
+    assert reference_replay_failure(Evaluator(prog, s, cfg), w) == reason
 
 
 def test_a_built_evaluator_reads_no_symbol_by_name(monkeypatch):

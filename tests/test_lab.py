@@ -144,7 +144,7 @@ def test_strong_implies_before_after_on_random_pairs():
         other = random_program(rng, s, depth=3)
         if set(other.modules) - set(prog.modules):
             continue
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         bases = [Trace.initial(s)]
         strong = strongly_equivalent(prog, prog.main, other.main, bases, cfg)
         if strong is UNKNOWN:
@@ -160,7 +160,7 @@ def test_denotational_agrees_with_engine_on_random_cases():
     for _ in range(200):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = eval_deltas(prog, prog.main, base, cfg)
@@ -181,7 +181,7 @@ def test_verdict_matches_denotational_definedness():
     for _ in range(150):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=4)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         defined = is_defined(prog, prog.main, Trace.initial(s), cfg)
         verdict = run_main_task(prog, s, cfg)
         if defined is UNKNOWN or verdict.kind == "bound-exceeded":
@@ -196,7 +196,7 @@ def test_extensions_extend_their_base():
     for _ in range(50):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=3)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         if deno is UNKNOWN:
@@ -301,7 +301,7 @@ def test_strong_equivalence_to_id_then_the_term_mirrors_definedness():
     for _ in range(400):
         s = random_structure(rng)
         prog = random_program(rng, s, depth=4)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         base, t = Trace.initial(s), prog.main
         defined = is_defined(prog, t, base, cfg)
         complete = denotational_deltas(prog, t, base, cfg) is not UNKNOWN
@@ -414,7 +414,7 @@ def _refusal(query):
 @given(_QUERY_TERMS, _QUERY_TERMS)
 def test_the_lab_refuses_exactly_what_a_program_refuses(t, g):
     prog, base = _REFUSAL_PROGRAM, Trace.initial(_REFUSAL_INPUT)
-    cfg = SearchConfig(k=2, max_trace_length=3, node_budget=500)
+    cfg = SearchConfig(max_trace_length=3, node_budget=500)
     refused = [_refusal(lambda u=u: Program(prog.vocabulary, prog.modules, u)) for u in (t, g)]
     assert _refusal(lambda: is_defined(prog, t, base, cfg)) == refused[0]
     assert _refusal(lambda: strongly_equivalent(prog, t, g, [base], cfg)) == (refused[0] or refused[1])

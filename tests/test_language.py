@@ -28,7 +28,7 @@ from helpers import (
 )
 
 
-VOCAB = Vocabulary((("T", 2), ("U", 1)), ("P", "Q", "Reach"), 3)
+VOCAB = Vocabulary((("T", 2), ("U", 1)), ("P", "Q", "Reach"))
 
 
 def test_parse_module_and_term():
@@ -234,7 +234,7 @@ def test_compiled_core_agrees_with_the_lab_on_the_plain_desugaring():
         prog = Program(s.vocabulary, modules, main)
         assert prog.compiled.keys() == prog.modules.keys()
         folded += prog.core != desugar(prog.main)
-        cfg = SearchConfig(k=2, max_trace_length=5)
+        cfg = SearchConfig(max_trace_length=5)
         base = Trace.initial(s)
         deno = denotational_deltas(prog, prog.main, base, cfg)
         found, complete = eval_deltas(prog, prog.main, base, cfg)
@@ -253,6 +253,32 @@ def test_a_huge_pow_compiles_to_a_log_size_core():
     nodes = len(_distinct_nodes(program.core))
     assert nodes <= 2 * 30 + 1, nodes
     assert elapsed < 0.5 and program.check_depth == 0
+
+
+def test_desugar_does_not_walk_a_shared_subterm_once_per_path(monkeypatch):
+    # each term below has 2 ** 20 paths to its module; desugar memoises the
+    # terms with parts it is called on, so its work does not grow with them
+    calls = 0
+    part = T._desugar_part
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 1000, "desugar walks a shared subterm once per path"
+        return part(*args)
+
+    monkeypatch.setattr(T, "_desugar_part", counted)
+    for build in (T.Seq, T.Or, T.Dia):
+        x = T.ModuleRef("M")
+        for _ in range(20):
+            x = build(x, x)
+        calls = 0
+        desugar(x)
+    # a program rebuilt from its own compiled core: 2 ** 18 - 1 steps
+    program = parse_program("module M { P(x) <~ adom(x) }\nterm: pow(M, 262143)", VOCAB)
+    calls = 0
+    rebuilt = Program(VOCAB, program.modules, program.core)
+    assert desugar(program.core) is program.core and rebuilt.check_depth == 0
 
 
 def test_a_run_refuses_a_directly_built_program_as_a_parse_refuses_its_text():

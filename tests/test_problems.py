@@ -1,6 +1,7 @@
 import pytest
 
 from tracelang import terms as T
+from tracelang.engine import run_main_task
 from tracelang.errors import InvalidParamsError, SignatureMismatchError
 from tracelang.problems import (
     ProblemId,
@@ -11,6 +12,7 @@ from tracelang.problems import (
     oracle,
     program_text,
 )
+from tracelang.parser import parse_program
 from tracelang.structures import serialize_structure
 
 
@@ -108,3 +110,24 @@ def test_oracle_signature_mismatch():
     even = build_instance(ProblemId.EVEN, {"n": 3})
     with pytest.raises(SignatureMismatchError):
         oracle(ProblemId.ST_CONNECTIVITY, even)
+
+
+_SIZES = {
+    ProblemId.SIZE_FOUR: [{"n": n} for n in (3, 4, 5)],
+    ProblemId.SAME_SIZE: [{"n": n, "p_size": 2, "q_size": n - 2} for n in (3, 4, 5)],
+    ProblemId.EVEN: [{"n": n} for n in (1, 2, 5)],
+    ProblemId.ST_CONNECTIVITY: [{"n": n} for n in (2, 4, 6)],
+    ProblemId.SAME_GENERATION: [{"n": n} for n in (2, 4, 6)],
+    ProblemId.MOD2_LINEAR: [{"nvars": n, "neqs": 2} for n in (1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("pid", list(ProblemId))
+def test_a_program_parsed_once_runs_on_every_domain_size(pid):
+    # a vocabulary is a signature: one parse serves instances of several
+    # domain sizes, with the verdict, witness and counters of a per-instance parse
+    instances = [build_instance(pid, params, seed=3) for params in _SIZES[pid]]
+    assert len({len(s.domain) for s in instances}) == 3
+    once = parse_program(program_text(pid), instances[0].vocabulary)
+    for s in instances:
+        assert run_main_task(once, s) == run_main_task(parse_program(program_text(pid), s.vocabulary), s)

@@ -9,7 +9,9 @@ from tracelang.errors import (
     NotABijectionError,
     ParseError,
     UnknownSymbolError,
+    VocabularyMismatchError,
 )
+from tracelang.engine import Trace
 from tracelang.structures import (
     parse_structure,
     permute_structure,
@@ -102,6 +104,15 @@ def test_structures_equal_examples():
     assert structures_equal(s, s)
     assert not structures_equal(s, s.with_registers(("a",)))
     assert not structures_equal(s, permute_structure(s, {"a": "b", "b": "a"}))
+
+
+def test_structures_of_other_vocabularies_are_unequal():
+    # ``==`` answers False; ``structures_equal`` keeps its documented raise
+    p, q = parse_structure("domain a\nreg P"), parse_structure("domain a\nreg Q")
+    assert p != q and not p == q
+    assert Trace.initial(p) != Trace.initial(q)
+    with pytest.raises(VocabularyMismatchError):
+        structures_equal(p, q)
 
 
 def test_structures_equal_is_equivalence_on_random_triples():
