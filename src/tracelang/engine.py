@@ -79,9 +79,8 @@ class Trace:
     shares the whole prefix, so ``extend`` costs O(registers written by one
     choice) however long the trace is and however many registers there are
     (see ``hist`` below), and siblings extended from one node share the
-    prefix too.  ``letters`` (each letter as a ``Structure``, built with
-    ``with_registers``), ``choices`` and ``key()`` are read-only views built
-    on demand by walking the chain, in O(length).
+    prefix too.  ``choices`` and ``key()`` (the valuation of each letter) are
+    read-only views built on demand by walking the chain, in O(length).
 
     ``hist`` holds, per register, the values it held at
     all letters except the last, as an immutable ``int`` bitmask: bit 0 for
@@ -127,10 +126,6 @@ class Trace:
             node = node.parent
         nodes.reverse()
         return nodes
-
-    @property
-    def letters(self) -> tuple[Structure, ...]:
-        return tuple(self.input.with_registers(node.last) for node in self._chain())
 
     @property
     def choices(self) -> tuple[Choice, ...]:

@@ -108,7 +108,7 @@ class _Deno:
         refusable = False
         try:
             desugared = [T.desugar(t) for t in terms]
-        except (TraceLangError, ValueError):
+        except TraceLangError:
             desugared, refusable = [], True
         table: dict = {}
         canon: dict[int, T.Term] = {}  # id(walked node) -> canonical node

@@ -157,35 +157,17 @@ class _Parser:
         keyword's arguments, which is one nesting level deeper."""
         self._descend()
         left = self._parse_seq()
-        while not self._at_expr_end():
-            tok = self.peek()
-            if tok.text == "<+":
-                self.next()
-                left = T.PrefUnion(left, self._parse_seq())
-            elif tok.text == "or":
-                self.next()
-                left = T.Or(left, self._parse_seq())
-            else:
-                break
+        while self.peek().text in ("<+", "or"):
+            self.next()
+            left = T.PrefUnion(left, self._parse_seq())
         self.depth -= 1
         return left
 
-    def _at_expr_end(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "eof" or tok.text in ("module", "term", ")", ",", "then", "else", "do", "until")
-
     def _parse_seq(self) -> T.Term:
         left = self._parse_prefix()
-        while not self._at_expr_end():
-            tok = self.peek()
-            if tok.text == ";":
-                self.next()
-                left = T.Seq(left, self._parse_prefix())
-            elif tok.text == "and":
-                self.next()
-                left = T.And(left, self._parse_prefix())
-            else:
-                break
+        while self.peek().text in (";", "and"):
+            self.next()
+            left = T.Seq(left, self._parse_prefix())
         return left
 
     def _parse_prefix(self) -> T.Term:
@@ -196,7 +178,7 @@ class _Parser:
         self._descend()
         inner = self._parse_prefix()
         self.depth -= 1
-        return T.AntiDomain(inner) if tok.text == "~" else T.Not(inner)
+        return T.AntiDomain(inner)
 
     def _parse_postfix(self) -> T.Term:
         term = self._parse_atom()
@@ -211,17 +193,15 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if tok.text == "id":
+        if tok.text in ("id", "skip"):
             return T.Id()
-        if tok.text == "skip":
-            return T.Skip()
         if tok.text == "fail":
             return T.Fail()
         if tok.text in ("test", "dom"):
             self.expect("(")
             inner = self.parse_expr()
             self.expect(")")
-            return T.Test(inner) if tok.text == "test" else T.Dom(inner)
+            return T.Test(inner)
         if tok.text == "dia":
             self.expect("(")
             proc = self.parse_expr()
@@ -237,7 +217,11 @@ class _Parser:
             if n_tok.kind != "int":
                 raise ParseError("pow exponent must be an integer literal", n_tok.line)
             self.expect(")")
-            return T.Pow(base, int(n_tok.text))
+            try:
+                n = int(n_tok.text)
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(f"pow exponent of {len(n_tok.text)} digits is too large", n_tok.line) from None
+            return T.Pow(base, n)
         if tok.text == "if":
             cond = self.parse_expr()
             self.expect("then")

@@ -5,8 +5,7 @@ The vocabulary separates fixed input relations (EDB, any arity) from monadic
 holds either one domain element or the blank marker, represented as ``None``
 (spelled ``_`` in structure files).  Structures are immutable.  A trace
 keeps one structure, its input, and one register valuation tuple per letter
-(see ``engine.Trace``); ``with_registers`` builds a letter's structure when
-one is asked for, sharing the domain and EDB tables.
+(see ``engine.Trace``), never a structure per letter.
 
 Structure file format (line oriented, ``#`` starts a comment)::
 
@@ -130,8 +129,8 @@ class Structure:
         )
         object.__setattr__(self, "registers", registers)
         object.__setattr__(self, "_dindex", {e: i for i, e in enumerate(domain)})
-        object.__setattr__(self, "_usets", {})  # unary EDB interp cache, shared by ``with_registers``
-        object.__setattr__(self, "_index", {})  # EDB hash indexes of ``cq``, shared likewise
+        object.__setattr__(self, "_usets", {})  # unary EDB interp cache
+        object.__setattr__(self, "_index", {})  # EDB hash indexes of ``cq``
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")
@@ -141,18 +140,6 @@ class Structure:
             return self.registers[self.vocabulary.register_index[name]]
         except KeyError:
             raise UnknownSymbolError(f"unknown register {name}") from None
-
-    def with_registers(self, registers: tuple[Optional[str], ...]) -> "Structure":
-        """New letter with the given valuation, sharing domain and EDB."""
-        new = object.__new__(Structure)
-        object.__setattr__(new, "vocabulary", self.vocabulary)
-        object.__setattr__(new, "domain", self.domain)
-        object.__setattr__(new, "edb", self.edb)
-        object.__setattr__(new, "registers", registers)
-        object.__setattr__(new, "_dindex", self._dindex)
-        object.__setattr__(new, "_usets", self._usets)
-        object.__setattr__(new, "_index", self._index)
-        return new
 
     def element_order(self, element: str) -> int:
         return self._dindex[element]

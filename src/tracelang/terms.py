@@ -1,8 +1,10 @@
 """Term ASTs: the eight core constructors and the surface sugar over them.
 
 Core terms: identity, module reference, anti-domain, sequence, preferential
-union, maximum iterate, equality test, back-globally test.  Everything else
-(skip/fail/test/dom/dia/not/and/or/if/while/repeat/pow) desugars into these.
+union, maximum iterate, equality test, back-globally test.  The sugar
+(fail/test/dia/if/while/repeat/pow) desugars into these.  The parser reads
+the keywords skip/not/and/or/dom as the id/~/;/<+/test they spell, so they
+have no node of their own.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 
-# How deeply parentheses, keyword arguments and prefix ``~``/``not`` may nest
-# in program text, and universal checks in a compiled program: the parser,
+# How deeply parentheses, keyword arguments and prefix ``~`` may nest in
+# program text, and universal checks in a compiled program: the parser,
 # ``desugar`` and the engine recurse once per level, so a program within the
 # bound runs at the interpreter's default recursion limit.
 MAX_NESTING = 100
@@ -90,11 +92,6 @@ CORE_TYPES = (Id, ModuleRef, AntiDomain, Seq, PrefUnion, MaxIterate, EqTest, Bac
 
 
 @dataclass(frozen=True)
-class Skip(Term):
-    pass
-
-
-@dataclass(frozen=True)
 class Fail(Term):
     pass
 
@@ -105,31 +102,9 @@ class Test(Term):
 
 
 @dataclass(frozen=True)
-class Dom(Term):
-    term: Term
-
-
-@dataclass(frozen=True)
 class Dia(Term):
     term: Term
     cond: Term
-
-
-@dataclass(frozen=True)
-class Not(Term):
-    term: Term
-
-
-@dataclass(frozen=True)
-class And(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Or(Term):
-    left: Term
-    right: Term
 
 
 @dataclass(frozen=True)
@@ -157,11 +132,10 @@ class Pow(Term):
     n: int
 
 
-# What the parser nests without bound: the left arm of a ``;``/``and``/
-# ``<+``/``or`` chain and the body of a ``^`` chain.
-_SPINE = (Seq, And, PrefUnion, Or, MaxIterate)
-_CHAIN = (Seq, And, PrefUnion, Or)
-_UNION = (PrefUnion, Or)
+# What the parser nests without bound: the left arm of a ``;``/``<+`` chain
+# and the body of a ``^`` chain.
+_SPINE = (Seq, PrefUnion, MaxIterate)
+_CHAIN = (Seq, PrefUnion)
 
 
 def _parenthesized(node: Term, part: Term, right: bool = False) -> bool:
@@ -169,15 +143,15 @@ def _parenthesized(node: Term, part: Term, right: bool = False) -> bool:
     (``right``: the right arm) of the spine node ``node``."""
     if type(node) is MaxIterate:
         return isinstance(part, _CHAIN)
-    if type(node) is Seq or type(node) is And:
-        return isinstance(part, _CHAIN if right else _UNION)
-    return right and isinstance(part, _UNION)
+    if type(node) is Seq:
+        return isinstance(part, _CHAIN if right else PrefUnion)
+    return right and isinstance(part, PrefUnion)
 
 
-_LEAVES = frozenset((Id, ModuleRef, EqTest, BackGlobal, Skip, Fail))
+_LEAVES = frozenset((Id, ModuleRef, EqTest, BackGlobal, Fail))
 
 
-def desugar(t: Term, depth: int = 0) -> Term:
+def desugar(t: Term) -> Term:
     """Rewrite surface constructs into the eight core constructors.
 
     A core-shaped (sub)term is returned as it is, the same object.  The
@@ -186,6 +160,16 @@ def desugar(t: Term, depth: int = 0) -> Term:
     nested only within parentheses, keyword arguments or prefix operators.
     A compound subterm shared by several parents (``pow`` shares its
     halves) is desugared once per depth it occurs at, not once per path.
+    A term nested too deeply, or a ``pow`` with a negative exponent, raises
+    ``ParseError``.
+    """
+    return _desugar(t, 0, {})
+
+
+def _desugar(t: Term, depth: int, memo: dict) -> Term:
+    """``desugar`` of ``t`` at ``depth``, with ``memo`` holding the result of
+    every call so far on a term with parts, by ``(id(t), depth)``; a spine
+    node gets no lookup.
 
     ``depth`` is the nesting of ``t`` as the parser counts it in program
     text: one level per prefix operator, keyword argument, and chain that
@@ -195,12 +179,6 @@ def desugar(t: Term, depth: int = 0) -> Term:
     limit.  A level costs at most five Python frames (a union's right arm,
     a ``;`` chain's right arm, then an ``if`` condition).
     """
-    return _desugar(t, depth, {})
-
-
-def _desugar(t: Term, depth: int, memo: dict) -> Term:
-    """``desugar``, with ``memo`` holding the result of every call so far on
-    a term with parts, by ``(id(t), depth)``; a spine node gets no lookup."""
     if type(t) in _LEAVES:
         return _desugar_part(t, depth, memo)
     key = (id(t), depth)
@@ -219,14 +197,7 @@ def _desugar(t: Term, depth: int, memo: dict) -> Term:
             out = node if out is node.term else MaxIterate(out)
             continue
         right = _desugar(node.right, depth + _parenthesized(node, node.right, right=True), memo)
-        if type(node) is And:
-            out = Seq(out, right)
-        elif type(node) is Or:
-            out = PrefUnion(out, right)
-        elif out is not node.left or right is not node.right:
-            out = type(node)(out, right)
-        else:
-            out = node
+        out = node if out is node.left and right is node.right else type(node)(out, right)
     memo[key] = out
     return out
 
@@ -242,16 +213,12 @@ def _desugar_part(t: Term, depth: int, memo: dict) -> Term:
         case AntiDomain(u):
             d = _desugar(u, inner, memo)
             return t if d is u else AntiDomain(d)
-        case Skip():
-            return Id()
         case Fail():
             return AntiDomain(Id())
-        case Test(u) | Dom(u):
+        case Test(u):
             return _test(u, inner, memo)
         case Dia(u, cond):
             return AntiDomain(AntiDomain(Seq(_desugar(u, inner, memo), _desugar(cond, inner, memo))))
-        case Not(u):
-            return AntiDomain(_desugar(u, inner, memo))
         case If(cond, then, orelse):
             arm = Seq(_test(cond, inner, memo), _desugar(then, inner, memo))
             return PrefUnion(arm, _desugar(orelse, inner, memo))
@@ -264,7 +231,7 @@ def _desugar_part(t: Term, depth: int, memo: dict) -> Term:
             return Seq(core_body, Seq(MaxIterate(Seq(AntiDomain(phi), core_body)), phi))
         case Pow(u, n):
             if n < 0:
-                raise ValueError("pow exponent must be nonnegative")
+                raise ParseError("pow exponent must be nonnegative")
             if n == 0:
                 return Id()
             # binary powers that share their halves: at most 2*log2(n) Seq
@@ -298,8 +265,6 @@ def _pp(t: Term, parent: int) -> str:
     match t:
         case Id():
             s, prec = "id", _PREC_ATOM
-        case Skip():
-            s, prec = "skip", _PREC_ATOM
         case Fail():
             s, prec = "fail", _PREC_ATOM
         case ModuleRef(name):
@@ -310,22 +275,14 @@ def _pp(t: Term, parent: int) -> str:
             s, prec = f"BG({p} != {q})", _PREC_ATOM
         case AntiDomain(u):
             s, prec = "~" + _pp(u, _PREC_PREFIX), _PREC_PREFIX
-        case Not(u):
-            s, prec = "not " + _pp(u, _PREC_PREFIX), _PREC_PREFIX
         case MaxIterate(u):
             s, prec = _pp(u, _PREC_ATOM + 1) + "^", _PREC_ATOM
         case Seq(a, b):
             s, prec = f"{_pp(a, _PREC_SEQ)} ; {_pp(b, _PREC_SEQ + 1)}", _PREC_SEQ
-        case And(a, b):
-            s, prec = f"{_pp(a, _PREC_SEQ)} and {_pp(b, _PREC_SEQ + 1)}", _PREC_SEQ
         case PrefUnion(a, b):
             s, prec = f"{_pp(a, _PREC_UNION)} <+ {_pp(b, _PREC_UNION + 1)}", _PREC_UNION
-        case Or(a, b):
-            s, prec = f"{_pp(a, _PREC_UNION)} or {_pp(b, _PREC_UNION + 1)}", _PREC_UNION
         case Test(u):
             s, prec = f"test({_pp(u, 0)})", _PREC_ATOM
-        case Dom(u):
-            s, prec = f"dom({_pp(u, 0)})", _PREC_ATOM
         case Dia(u, c):
             s, prec = f"dia({_pp(u, 0)}, {_pp(c, 0)})", _PREC_ATOM
         case Pow(u, n):

@@ -37,6 +37,14 @@ def test_run_parse_error_is_usage_exit(even_files, tmp_path, capsys):
     assert main(["run", "--program", str(missing), "--structure", even_files[4]]) == 64
 
 
+def test_run_refuses_a_pow_exponent_past_the_digit_limit(even_files, tmp_path, capsys):
+    # int() refuses a literal of over 4,300 digits; run names its line
+    program = tmp_path / "huge.program"
+    program.write_text("module GuessP { P(x) <~ adom(x) }\nterm: pow(GuessP, " + "9" * 5001 + ")\n")
+    assert main(["run", "--program", str(program), "--structure", even_files[4]]) == 64
+    assert capsys.readouterr().err == "error: line 2: pow exponent of 5001 digits is too large\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--program", "x"]) == 64  # missing --structure
     assert main(["frobnicate"]) == 64

@@ -12,7 +12,7 @@ from tracelang.cq import Atom, CQBody, Const, compile_body, evaluate_unary_cq
 from tracelang.errors import ArityError, UnknownSymbolError
 from tracelang.structures import Structure, Vocabulary, permute_structure
 
-from helpers import naive_unary_cq, random_structure, structure_of
+from helpers import at_valuation, naive_unary_cq, random_structure, structure_of
 
 
 def test_distance_two_answer_set():
@@ -67,9 +67,7 @@ def test_agrees_with_naive_oracle_on_random_cases():
     for _ in range(300):
         s = random_structure(rng, max_domain=4)
         if rng.random() < 0.5:
-            s = s.with_registers(
-                tuple(rng.choice((None,) + s.domain) for _ in s.vocabulary.register_symbols)
-            )
+            s = at_valuation(s, tuple(rng.choice((None,) + s.domain) for _ in s.vocabulary.register_symbols))
         body = _random_body(rng)
         assert evaluate_unary_cq(body, s) == naive_unary_cq(body, s)
 
@@ -81,12 +79,7 @@ def test_monotone_in_edb():
         body = _random_body(rng)
         before = evaluate_unary_cq(body, s)
         extra = {(x, y) for x in s.domain for y in s.domain if rng.random() < 0.3}
-        bigger = structure_of(
-            s.domain,
-            {"U": s.edb["U"], "E": s.edb["E"] | extra},
-            registers=s.vocabulary.register_symbols,
-            arities={"U": 1, "E": 2},
-        ).with_registers(s.registers)
+        bigger = Structure(s.vocabulary, s.domain, {"U": s.edb["U"], "E": s.edb["E"] | extra}, s.registers)
         assert before <= evaluate_unary_cq(body, bigger)
 
 
@@ -147,7 +140,7 @@ def _random_join_body(rng, domain):
 
 
 def _random_letter(rng, s):
-    return s.with_registers(tuple(rng.choice((None,) + s.domain) for _ in range(2)))
+    return at_valuation(s, tuple(rng.choice((None,) + s.domain) for _ in range(2)))
 
 
 def test_indexed_join_agrees_with_naive_oracle():

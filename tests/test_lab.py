@@ -202,7 +202,7 @@ def test_extensions_extend_their_base():
         if deno is UNKNOWN:
             continue
         for ext in deno.extensions:
-            assert ext.letters[: len(base)] == base.letters
+            assert ext.input == base.input and ext.key()[: len(base)] == base.key()
 
 
 def _counting_extend(monkeypatch):

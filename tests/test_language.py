@@ -14,7 +14,7 @@ from tracelang.errors import (
     UnknownSymbolError,
     VocabularyMismatchError,
 )
-from tracelang.lab import UNKNOWN, denotational_deltas
+from tracelang.lab import UNKNOWN, denotational_deltas, is_defined
 from tracelang.parser import Program, parse_program, parse_term
 from tracelang.structures import Vocabulary
 from tracelang.terms import desugar, pretty
@@ -113,14 +113,24 @@ def test_desugar_pow():
     assert four.left is four.right and four.left.left is four.left.right
 
 
+def test_a_negative_pow_exponent_is_a_parse_error_wherever_a_term_is_compiled():
+    # no text parses to it, but a term built directly can hold one
+    s = structure_of(("a",), registers=("P",))
+    prog = parse_program("module GuessP { P(x) <~ adom(x) }\nterm: GuessP", s.vocabulary)
+    bad, base, cfg = T.Pow(T.ModuleRef("GuessP"), -1), Trace.initial(s), SearchConfig(max_trace_length=3)
+    for call in (
+        lambda: Program(s.vocabulary, prog.modules, bad),
+        lambda: eval_deltas(prog, bad, base, cfg),
+        lambda: is_defined(prog, bad, base, cfg),
+    ):
+        with pytest.raises(ParseError, match="^pow exponent must be nonnegative$"):
+            call()
+
+
 def test_desugar_basics():
-    assert desugar(T.Skip()) == T.Id()
     assert desugar(T.Fail()) == T.AntiDomain(T.Id())
-    assert desugar(T.Not(T.Id())) == T.AntiDomain(T.Id())
-    assert desugar(T.And(T.Id(), T.Id())) == T.Seq(T.Id(), T.Id())
-    assert desugar(T.Or(T.Id(), T.Id())) == T.PrefUnion(T.Id(), T.Id())
     m = T.ModuleRef("M")
-    assert desugar(T.If(T.EqTest("P", "Q"), m, T.Skip())) == T.PrefUnion(
+    assert desugar(T.If(T.EqTest("P", "Q"), m, T.Id())) == T.PrefUnion(
         T.Seq(T.AntiDomain(T.AntiDomain(T.EqTest("P", "Q"))), m), T.Id()
     )
     assert desugar(T.Dia(m, T.EqTest("P", "Q"))) == T.AntiDomain(
@@ -128,9 +138,23 @@ def test_desugar_basics():
     )
 
 
-def test_test_and_dom_desugar_identically():
-    inner = T.EqTest("P", "Q")
-    assert desugar(T.Test(inner)) == desugar(T.Dom(inner))
+def test_each_synonym_parses_to_the_construct_it_names():
+    # skip, not, and, or and dom spell id, ~, ;, <+ and test, at the same
+    # precedence; the parser builds the construct, and pretty prints it so
+    m, n = T.ModuleRef("M"), T.ModuleRef("N")
+    assert parse_term("M and N or not skip") == T.PrefUnion(T.Seq(m, n), T.AntiDomain(T.Id()))
+    for text, core in [
+        ("skip", "id"),
+        ("not M", "~M"),
+        ("M and N", "M ; N"),
+        ("M or N", "M <+ N"),
+        ("dom(M)", "test(M)"),
+        ("M and N or not skip", "M ; N <+ ~id"),
+        ("M or N and M", "M <+ N ; M"),
+        ("not not M^ and dom(N or skip)", "~~(M)^ ; test(N <+ id)"),
+    ]:
+        assert parse_term(text) == parse_term(core), text
+        assert pretty(parse_term(text)) == core
 
 
 def _distinct_nodes(term: T.Term) -> list[T.Term]:
@@ -268,7 +292,7 @@ def test_desugar_does_not_walk_a_shared_subterm_once_per_path(monkeypatch):
         return part(*args)
 
     monkeypatch.setattr(T, "_desugar_part", counted)
-    for build in (T.Seq, T.Or, T.Dia):
+    for build in (T.Seq, T.PrefUnion, T.Dia):
         x = T.ModuleRef("M")
         for _ in range(20):
             x = build(x, x)

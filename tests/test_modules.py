@@ -8,7 +8,7 @@ from tracelang.errors import DuplicateSymbolError, StaleChoiceError
 from tracelang.modules import Choice, ModuleDef, Rule, apply_choice, check_choice, successor_choices
 from tracelang.structures import structures_equal
 
-from helpers import compiled, random_modules, random_structure, structure_of
+from helpers import at_valuation, compiled, random_modules, random_structure, structure_of
 
 
 def _module(name, *rules):
@@ -17,7 +17,7 @@ def _module(name, *rules):
 
 def _after(s, c):
     """The letter that ``c`` makes from ``s``."""
-    return s.with_registers(apply_choice(s, s.registers, c))
+    return at_valuation(s, apply_choice(s, s.registers, c))
 
 
 def guess_p():
@@ -116,9 +116,7 @@ def test_successor_count_is_product_of_answer_sets():
     for _ in range(150):
         s = random_structure(rng)
         if rng.random() < 0.5:
-            s = s.with_registers(
-                tuple(rng.choice((None,) + s.domain) for _ in s.vocabulary.register_symbols)
-            )
+            s = at_valuation(s, tuple(rng.choice((None,) + s.domain) for _ in s.vocabulary.register_symbols))
         for m in random_modules(rng).values():
             expected = 1
             for rule in m.rules:

@@ -44,6 +44,7 @@ def _assert_parses_or_refuses(text):
 
 @budget
 @given(st.text(max_size=200) | st.lists(_WORDS, max_size=60).map(" ".join))
+@example(MODULES + "term: pow(GuessP, " + "9" * 5001 + ")")  # past int()'s digit limit
 def test_program_text_raises_only_tracelang_errors(text):
     _assert_parses_or_refuses(text)
 
