@@ -18,6 +18,15 @@ unary EDB symbol's value when it is built, so no ``==`` test looks a symbol
 up by name.  ``Trace.extend`` applies a module choice to the last letter
 and updates the history of only the registers that choice wrote.
 
+A module forward-checks a ``BG`` test of two registers that comes right
+after it: a choice the test rejects at the letter it would produce is
+dropped before it becomes a trace, so it is no node and uses up no budget.
+Its subtree was that one failing test, so every definite answer, witness
+and enumeration stays as it was; only the node count drops, and a budget
+once spent on rejected choices may now reach a definite answer.  Replay
+applies each choice the certificate names and drops none; the checks it
+asks search as the search does.
+
 A check is first evaluated directly on the trace, as a test that keeps the
 trace or fails; a term with no module in it is always decided so, with no
 nested search.  A check that reaches a module opens a nested exhaustive
@@ -342,7 +351,9 @@ class Evaluator:
     replay each add a few Python frames per nested universal check and none
     per sequence step, iterate unfolding or letter.
 
-    ``nodes`` counts module steps actually expanded.  ``exists_calls``
+    ``nodes`` counts module steps actually expanded; a choice that the
+    ``BG`` test right after its module rejects is dropped before it becomes
+    a trace and is no node (see ``iter_extensions``).  ``exists_calls``
     counts the universal checks made through ``exists`` and ``table_hits``
     those answered from the table, which expand no node.  The left arm of a
     union that the search runs in line (see the module docstring) is no
@@ -361,21 +372,11 @@ class Evaluator:
         self.nodes = 0
         self.exists_calls = 0
         self.table_hits = 0
-        # A module's choices, which depend only on the registers it reads,
-        # and the definite answers of module-bearing checks.
+        # A module's choices, keyed on its name and the values of the
+        # registers it reads, on which alone they depend, and the definite
+        # answers of module-bearing checks.
         self._choices: dict[tuple, tuple] = {}
         self._table: dict[tuple, bool] = {}
-
-    def _successors(self, name: str, trace: Trace) -> tuple[Choice, ...]:
-        """The choices of the module ``name`` at the last letter of
-        ``trace``, cached on the values of the registers it reads and built
-        once per distinct value."""
-        module = self.program.compiled[name]
-        key = (name, module.reads(trace.last))
-        choices = self._choices.get(key)
-        if choices is None:
-            choices = self._choices[key] = successor_choices(module, trace.input, trace.last)
-        return choices
 
     # --- search ----------------------------------------------------------
 
@@ -387,10 +388,20 @@ class Evaluator:
         Depth first, from one explicit stack of ``(node, trace,
         continuation, scope)`` entries; a continuation is ``None`` or a
         linked ``(node, rest)`` pair.  A module pushes one entry per choice,
-        and a choice is applied to its trace only when it is popped.  The
+        and a choice is counted, budget-checked and applied to its trace
+        only when it is popped.  When the leftmost leaf of the continuation
+        is a ``BG`` test of two registers, the module forward-checks it
+        (Haralick & Elliott, *Increasing tree search efficiency for
+        constraint satisfaction problems*, AI 1980): each choice is tested
+        against the letter it would produce, whose history of the past side
+        is the current one plus the last letter's value, and only the
+        choices that pass are pushed, with the continuation after the test.
+        A dropped choice is never applied or counted and uses up no budget;
+        its subtree was one failing test, so nothing else changes.  The
         Python stack grows only with the nesting of universal checks, not
         with sequence chains or traces."""
         max_length, budget = self.cfg.max_trace_length, self.cfg.node_budget
+        compiled, cache = self.program.compiled, self._choices
         stack = [(term, trace, None, scope)]
         while stack:
             node, trace, k, scope = stack.pop()
@@ -409,9 +420,34 @@ class Evaluator:
                     if trace.length >= max_length:
                         scope.hit = True
                         break
-                    # counted, budget-checked and applied only when popped
-                    succ = self._successors(node.name, trace)
-                    stack += [(c, trace, k, scope) for c in reversed(succ)]
+                    name = node.name
+                    module = compiled[name]
+                    key = (name, module.reads(trace.last))
+                    succ = cache.get(key)
+                    if succ is None:
+                        succ = cache[key] = successor_choices(module, trace.input, trace.last)
+                    if k is not None:  # forward-check a BG test that comes next
+                        test, rest = k
+                        while type(test) is T.Seq:
+                            test, rest = test.left, (test.right, rest)
+                        if type(test) is T.BackGlobal and None not in test.positions:
+                            i, j = test.positions
+                            last, order = trace.last, trace.input._dindex
+                            v = last[j]
+                            past = trace.hist[j] | (1 if v is None else 2 << order[v])
+                            heads = module.positions
+                            if i in heads:
+                                h = heads.index(i)
+                                for c in reversed(succ):
+                                    if not past & 2 << order[c.assignment[h][1]]:
+                                        stack.append((c, trace, rest, scope))
+                                break
+                            v = last[i]
+                            if past & (1 if v is None else 2 << order[v]):
+                                break
+                            k = rest
+                    for c in reversed(succ):  # a loop: a comprehension costs a frame
+                        stack.append((c, trace, k, scope))
                     break
                 elif cls is T.BackGlobal:
                     i, j = node.positions

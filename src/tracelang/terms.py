@@ -276,7 +276,7 @@ def _pp(t: Term, parent: int) -> str:
         case AntiDomain(u):
             s, prec = "~" + _pp(u, _PREC_PREFIX), _PREC_PREFIX
         case MaxIterate(u):
-            s, prec = _pp(u, _PREC_ATOM + 1) + "^", _PREC_ATOM
+            s, prec = _pp(u, _PREC_ATOM) + "^", _PREC_ATOM
         case Seq(a, b):
             s, prec = f"{_pp(a, _PREC_SEQ)} ; {_pp(b, _PREC_SEQ + 1)}", _PREC_SEQ
         case PrefUnion(a, b):

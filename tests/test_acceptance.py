@@ -27,6 +27,7 @@ from tracelang.engine import (
     witness_length,
 )
 from tracelang.lab import UNKNOWN, denotational_deltas
+from tracelang.modules import successor_choices
 from tracelang.parser import parse_program
 from tracelang.problems import (
     ProblemId,
@@ -402,11 +403,10 @@ def test_criterion_10_weak_idempotence_of_antidomain():
         prog = random_program(rng, s, depth=2)
         t = random_core_term(rng, sorted(prog.modules), rng.randint(0, 2))
         cfg = SearchConfig(max_trace_length=5)
-        ev = Evaluator(prog, s, cfg)
         # build a random base trace by a few module steps
         base = Trace.initial(s)
         for _ in range(rng.randint(0, 2)):
-            steps = ev._successors(rng.choice(sorted(prog.modules)), base)
+            steps = successor_choices(prog.compiled[rng.choice(sorted(prog.modules))], s, base.last)
             if not steps:
                 break
             choice = rng.choice(steps)

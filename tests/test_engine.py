@@ -776,7 +776,7 @@ def _reference_extensions(ev, term, trace, scope):
         if trace.length >= ev.cfg.max_trace_length:
             scope.hit = True
             return
-        for choice in ev._successors(term.name, trace):
+        for choice in successor_choices(ev.program.compiled[term.name], trace.input, trace.last):
             if ev.cfg.node_budget is not None and ev.nodes >= ev.cfg.node_budget:
                 scope.hit = True
                 return
@@ -874,6 +874,135 @@ def test_fused_unions_match_the_unfused_reference():
     assert fewer > 0
 
 
+def _unpruned_checks(ev):
+    """Make the universal checks of ``ev`` search with the reference, which
+    extends every choice of a module, and table nothing."""
+
+    def exists(term, trace):
+        scope = engine._Scope()
+        for _ in _reference_extensions(ev, term, trace, scope):
+            return True
+        return None if scope.hit else False
+
+    ev.exists = exists
+    return ev
+
+
+def _forward_modules(rng):
+    """One or two modules of one or two rules over P and Q, whose bodies
+    mostly guess from adom, so that most steps have choices to drop."""
+    modules = {}
+    for name in ("M0", "M1")[: rng.randint(1, 2)]:
+        rules = []
+        for head in rng.sample("PQ", rng.randint(1, 2)):
+            source = rng.choice(["adom", "adom", "U", "P", "Q"])
+            if rng.random() < 0.7:
+                atoms = (Atom(source, ("x",)),)
+            else:
+                atoms = (Atom(source, ("y",)), Atom("E", ("y", "x")))
+            rules.append(Rule(head, CQBody("x", atoms)))
+        modules[name] = ModuleDef(name, tuple(rules))
+    return modules
+
+
+def _forward_term(rng, names, depth):
+    """Random core term in which a module is mostly followed by a BG test:
+    right after it, or as the leftmost leaf of a sequence after it.  Both
+    sides are mostly registers, which the module may or may not write."""
+    sub = lambda: _forward_term(rng, names, depth - 1)  # noqa: E731
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.15:
+            return random_core_term(rng, names, 0)
+        step = T.ModuleRef(rng.choice(names))
+        test = T.BackGlobal(rng.choice("PQ"), rng.choice("PQPQU"))
+        if depth > 0 and rng.random() < 0.3:
+            return T.Seq(step, T.Seq(T.Seq(test, sub()), sub()))
+        return T.Seq(step, test)
+    kind = rng.choice(["seq", "seq", "seq", "union", "union", "anti", "iter", "iter"])
+    if kind == "seq":
+        return T.Seq(sub(), sub())
+    if kind == "union":
+        return T.PrefUnion(sub(), sub())
+    return (T.AntiDomain if kind == "anti" else T.MaxIterate)(sub())
+
+
+def test_forward_checked_search_matches_the_reference_that_extends_every_choice():
+    # The search drops a module's choice that the BG test right after the
+    # module rejects before it becomes a trace; the reference extends every
+    # choice and checks with the reference too.  Under length bounds the
+    # verdict, the first witness, the enumeration and every extension set,
+    # completeness included, are the same, and the search expands no more
+    # nodes; under node budgets every definite answer is the same.
+    rng = random.Random(89)
+    fewer = 0
+    for _ in range(300):
+        s = random_structure(rng)
+        modules = _forward_modules(rng)
+        prog = Program(s.vocabulary, modules, _forward_term(rng, sorted(modules), 3))
+        trace = _random_walk(rng, prog, Trace.initial(s), rng.randint(0, 2))
+        for budget in (None, rng.choice([3, 10, 30])):
+            cfg = SearchConfig(max_trace_length=rng.randint(3, 6), node_budget=budget)
+            ev, ref = Evaluator(prog, s, cfg), _unpruned_checks(Evaluator(prog, s, cfg))
+            verdict, scope = ev.run(), engine._Scope()
+            first = next(_reference_extensions(ref, prog.core, Trace.initial(s), scope), None)
+            kind = "yes" if first is not None else "bound-exceeded" if scope.hit else "no"
+            exts, complete = eval_deltas(prog, prog.main, trace, cfg)
+            ref_scope = engine._Scope()
+            ref_exts = list(_reference_extensions(
+                _unpruned_checks(Evaluator(prog, s, cfg)), prog.core, trace, ref_scope
+            ))
+            if budget is None:
+                assert verdict.kind == kind and verdict.nodes <= ref.nodes
+                fewer += verdict.nodes < ref.nodes
+                if first is not None:
+                    assert verdict.witness == Witness(first.choices, len(first))
+                assert [t.key() for t in exts] == [t.key() for t in ref_exts]
+                assert complete == (not ref_scope.hit)
+                ref_ev, keys = _unpruned_checks(Evaluator(prog, s, cfg)), {}
+                for t in _reference_extensions(ref_ev, prog.core, Trace.initial(s), engine._Scope()):
+                    keys.setdefault(t.key(), Witness(t.choices, len(t)))
+                assert Evaluator(prog, s, cfg).enumerate() == list(keys.values())[: cfg.witness_limit]
+            else:
+                if "bound-exceeded" not in (verdict.kind, kind):
+                    assert verdict.kind == kind
+                if complete and not ref_scope.hit:
+                    assert {t.key() for t in exts} == {t.key() for t in ref_exts}
+    assert fewer > 0
+
+
+def test_a_mod2_search_extends_no_pick_of_a_variable_already_picked(monkeypatch):
+    # BG(Var != Var) follows PickVar, so every PickVar choice that becomes a
+    # trace writes a variable the trace has not held; the others are dropped.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance
+
+    picks, extend = [], Trace.extend
+
+    def probe(trace, choice):
+        if choice.module == "PickVar":
+            var = trace.input.vocabulary.register_index["Var"]
+            picks.append((choice.as_dict()["Var"], {letter[var] for letter in trace.key()}))
+        return extend(trace, choice)
+
+    monkeypatch.setattr(Trace, "extend", probe)
+    for nvars, equations in ((4, [(0, 1, 2, 1), (1, 2, 3, 0), (0, 2, 3, 1)]), (3, [(0, 1, 2, 1), (2, 0, 1, 0)])):
+        inst = make_mod2_instance(nvars, equations)
+        run_main_task(build_program(ProblemId.MOD2_LINEAR, inst.vocabulary), inst)
+    assert picks and all(var not in held for var, held in picks)
+
+
+def test_rejected_choices_use_up_no_node_budget():
+    # The unsatisfiable system expands 261 nodes; extending the choices the
+    # BG test rejects took 657, so 300 nodes used to end in bound-exceeded.
+    from tracelang.problems import ProblemId, build_program, make_mod2_instance
+
+    inst = make_mod2_instance(3, [(0, 1, 2, 1), (2, 0, 1, 0)])
+    prog = build_program(ProblemId.MOD2_LINEAR, inst.vocabulary)
+    verdict = run_main_task(prog, inst, _cfg(prog, inst, node_budget=300))
+    assert (verdict.kind, verdict.nodes) == ("no", 261)
+    verdict = run_main_task(prog, inst, _cfg(prog, inst, node_budget=260))
+    assert (verdict.kind, verdict.nodes) == ("bound-exceeded", 260)
+
+
 def test_table_holds_no_inconclusive_answer():
     # Runs that hit the length bound or the node budget leave only definite
     # answers in the table.
@@ -932,8 +1061,8 @@ def test_mod2_counters_are_exact():
         for c in (Choice("PickVar", (("Var", x), ("Val", bit))), Choice(record[bit][0], ((record[bit][1], x),)))
     ), 9)
     for nvars, equations, expected in (
-        (4, [(0, 1, 2, 1), (1, 2, 3, 0), (0, 2, 3, 1)], ("yes", witness, 201, 25, 1)),
-        (3, [(0, 1, 2, 1), (2, 0, 1, 0)], ("no", None, 657, 88, 26)),
+        (4, [(0, 1, 2, 1), (1, 2, 3, 0), (0, 2, 3, 1)], ("yes", witness, 81, 25, 1)),
+        (3, [(0, 1, 2, 1), (2, 0, 1, 0)], ("no", None, 261, 88, 26)),
     ):
         inst = make_mod2_instance(nvars, equations)
         verdict = run_main_task(build_program(ProblemId.MOD2_LINEAR, inst.vocabulary), inst)
@@ -1330,7 +1459,7 @@ def test_replay_searches_no_true_arm_or_step_of_a_valid_certificate():
     )
     for prog, s, witness, expected in (
         (st_conn, path, run_main_task(st_conn, path).witness, (199, 103, 395, 297)),
-        (mod2, system, Witness(choices, 21), (71, 12, 186, 27)),
+        (mod2, system, Witness(choices, 21), (51, 12, 76, 27)),
     ):
         cfg = _cfg(prog, s)
         ev, ref = Evaluator(prog, s, cfg), Evaluator(prog, s, cfg)

@@ -151,7 +151,7 @@ def test_each_synonym_parses_to_the_construct_it_names():
         ("dom(M)", "test(M)"),
         ("M and N or not skip", "M ; N <+ ~id"),
         ("M or N and M", "M <+ N ; M"),
-        ("not not M^ and dom(N or skip)", "~~(M)^ ; test(N <+ id)"),
+        ("not not M^ and dom(N or skip)", "~~M^ ; test(N <+ id)"),
     ]:
         assert parse_term(text) == parse_term(core), text
         assert pretty(parse_term(text)) == core
@@ -182,6 +182,16 @@ def test_pretty_parse_round_trip_on_random_surface_terms():
     for _ in range(300):
         t = random_surface_term(rng, rng.randint(0, 4))
         assert parse_term(pretty(t)) == t, pretty(t)
+
+
+def test_pretty_prints_an_atom_under_an_iterate_bare():
+    # ^ binds tightest, so an atom under it needs no parentheses; what
+    # pretty prints parses back to the same term
+    for text in ("M^", "M^^", "P == Q^", "BG(P != Q)^", "id^", "test(M)^", "~M^"):
+        assert pretty(parse_term(text)) == text
+    for text, printed in (("(M ; N)^", "(M ; N)^"), ("(~M)^", "(~M)^"), ("((M)^)^", "M^^")):
+        assert pretty(parse_term(text)) == printed
+        assert parse_term(printed) == parse_term(text)
 
 
 def test_program_diagnostics():
