@@ -22,8 +22,9 @@ and ``table_hits`` (see ``engine.Evaluator``) and its two bounds (``k`` with
 cap and ``nodes_explored`` count module steps actually expanded; a universal
 check answered directly on the trace or from the evaluator's table expands
 none, the left arm of a union is expanded once, by the search itself, and
-a module's choice that the ``BG`` test right after the module rejects is
-dropped before it becomes a trace, so it is no node.
+a module's choice that the ``BG`` test right after the module rejects, when
+the module writes the test's current register, is dropped before it
+becomes a trace, so it is no node.
 ``equiv`` reads the same cap as the number of successor traces the lab may
 build, and answers unknown past it; ``verify`` does not read it yet.
 """

@@ -18,8 +18,9 @@ unary EDB symbol's value when it is built, so no ``==`` test looks a symbol
 up by name.  ``Trace.extend`` applies a module choice to the last letter
 and updates the history of only the registers that choice wrote.
 
-A module forward-checks a ``BG`` test of two registers that comes right
-after it: a choice the test rejects at the letter it would produce is
+A module forward-checks a ``BG`` test that comes right after it, when the
+module writes the test's current register and the past side is a
+register: a choice the test rejects at the letter it would produce is
 dropped before it becomes a trace, so it is no node and uses up no budget.
 Its subtree was that one failing test, so every definite answer, witness
 and enumeration stays as it was; only the node count drops, and a budget
@@ -352,8 +353,9 @@ class Evaluator:
     per sequence step, iterate unfolding or letter.
 
     ``nodes`` counts module steps actually expanded; a choice that the
-    ``BG`` test right after its module rejects is dropped before it becomes
-    a trace and is no node (see ``iter_extensions``).  ``exists_calls``
+    ``BG`` test right after its module rejects, when the module writes the
+    test's current register, is dropped before it becomes a trace and is no
+    node (see ``iter_extensions``).  ``exists_calls``
     counts the universal checks made through ``exists`` and ``table_hits``
     those answered from the table, which expand no node.  The left arm of a
     union that the search runs in line (see the module docstring) is no
@@ -390,12 +392,14 @@ class Evaluator:
         linked ``(node, rest)`` pair.  A module pushes one entry per choice,
         and a choice is counted, budget-checked and applied to its trace
         only when it is popped.  When the leftmost leaf of the continuation
-        is a ``BG`` test of two registers, the module forward-checks it
-        (Haralick & Elliott, *Increasing tree search efficiency for
-        constraint satisfaction problems*, AI 1980): each choice is tested
-        against the letter it would produce, whose history of the past side
-        is the current one plus the last letter's value, and only the
-        choices that pass are pushed, with the continuation after the test.
+        is a ``BG`` test whose current side the module writes and whose past
+        side is a register, the module forward-checks it (Haralick &
+        Elliott, *Increasing tree search efficiency for constraint
+        satisfaction problems*, AI 1980): each choice's element is tested
+        against the history the past side would have, the current one plus
+        the last letter's value, and only the choices that pass are pushed,
+        with the continuation after the test.  Any other test is left to run
+        on each popped trace.
         A dropped choice is never applied or counted and uses up no budget;
         its subtree was one failing test, so nothing else changes.  The
         Python stack grows only with the nesting of universal checks, not
@@ -430,22 +434,15 @@ class Evaluator:
                         test, rest = k
                         while type(test) is T.Seq:
                             test, rest = test.left, (test.right, rest)
-                        if type(test) is T.BackGlobal and None not in test.positions:
-                            i, j = test.positions
-                            last, order = trace.last, trace.input._dindex
-                            v = last[j]
+                        j = test.positions[1] if type(test) is T.BackGlobal else None
+                        if j is not None and test.current in module.heads:
+                            h = module.heads.index(test.current)
+                            order, v = trace.input._dindex, trace.last[j]
                             past = trace.hist[j] | (1 if v is None else 2 << order[v])
-                            heads = module.positions
-                            if i in heads:
-                                h = heads.index(i)
-                                for c in reversed(succ):
-                                    if not past & 2 << order[c.assignment[h][1]]:
-                                        stack.append((c, trace, rest, scope))
-                                break
-                            v = last[i]
-                            if past & (1 if v is None else 2 << order[v]):
-                                break
-                            k = rest
+                            for c in reversed(succ):
+                                if not past & 2 << order[c.assignment[h][1]]:
+                                    stack.append((c, trace, rest, scope))
+                            break
                     for c in reversed(succ):  # a loop: a comprehension costs a frame
                         stack.append((c, trace, k, scope))
                     break

@@ -54,14 +54,12 @@ class ModuleDef:
 
 class CompiledModule(NamedTuple):
     """A module compiled against one vocabulary: the registers its rules
-    write (``heads``, in rule order) and their ``positions`` in a register
-    valuation, per rule its body's generated ``answers`` and ``member``
-    functions, and ``reads``, the getter of the registers the bodies read
-    from a register valuation."""
+    write (``heads``, in rule order), per rule its body's generated
+    ``answers`` and ``member`` functions, and ``reads``, the getter of the
+    registers the bodies read from a register valuation."""
 
     name: str
     heads: tuple[str, ...]
-    positions: tuple[int, ...]
     answers: tuple[Callable, ...]
     members: tuple[Callable, ...]
     reads: Callable

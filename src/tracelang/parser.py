@@ -423,8 +423,7 @@ def _compile(program: Program) -> tuple:
         module_regs[name] = reads | writes
         heads = tuple(rule.head for rule in mod.rules)
         compiled[name] = CompiledModule(
-            name, heads, tuple(index[h] for h in heads),
-            tuple(q.answers for q in queries), tuple(q.member for q in queries), _getter(reads),
+            name, heads, tuple(q.answers for q in queries), tuple(q.member for q in queries), _getter(reads)
         )
     names: set[str] = set()
     symbols: set[str] = set()
